@@ -1,8 +1,9 @@
 //! Fault-injection campaign benches: the detection-coverage experiment
 //! at reduced trial counts.
 
-use reese_core::{InjectedFault, ReeseConfig, ReeseSim};
+use reese_core::{InjectedFault, ReeseConfig, ReeseFaults, ReeseSim};
 use reese_faults::{Campaign, FaultMix};
+use reese_pipeline::RunSpec;
 use reese_stats::bench::Criterion;
 use reese_stats::{criterion_group, criterion_main};
 use reese_workloads::Kernel;
@@ -20,7 +21,12 @@ fn bench_faults(c: &mut Criterion) {
     g.bench_function("single_detection_and_recovery", |b| {
         let sim = ReeseSim::new(ReeseConfig::starting());
         let faults = [InjectedFault::primary(500, 7)];
-        b.iter(|| black_box(sim.run_with_faults(&prog, &faults, u64::MAX).expect("runs")));
+        b.iter(|| {
+            black_box(
+                sim.run_spec(RunSpec::program(&prog).faults(ReeseFaults::injected(&faults)))
+                    .expect("runs"),
+            )
+        });
     });
     g.finish();
 }

@@ -9,8 +9,9 @@
 //! the actual machine and confirms that silent escapes appear exactly
 //! when Δt crosses into it.
 
-use reese_core::{DurationFault, ReeseConfig, ReeseSim};
+use reese_core::{DurationFault, ReeseConfig, ReeseFaults, ReeseSim};
 use reese_isa::FuClass;
+use reese_pipeline::RunSpec;
 use reese_stats::{SplitMix64, Table};
 use reese_workloads::Kernel;
 
@@ -52,8 +53,9 @@ fn main() {
                 class: FuClass::IntAlu,
                 bit: 9,
             };
-            match sim.run_with_duration_fault(&prog, fault, u64::MAX) {
-                Ok((r, report)) => {
+            match sim.run_spec(RunSpec::program(&prog).faults(ReeseFaults::disturbance(fault))) {
+                Ok(r) => {
+                    let report = r.duration.expect("a duration fault reports");
                     if report.affected() {
                         affected += 1;
                     }

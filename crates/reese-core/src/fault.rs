@@ -159,6 +159,42 @@ impl DetectionEvent {
     }
 }
 
+/// The faults a REESE run can be handed (see
+/// [`crate::ReeseSim::run_spec`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReeseFaults<'a> {
+    /// Latched-result bit flips on single instructions.
+    pub injected: &'a [InjectedFault],
+    /// An environmental disturbance of duration Δt; the run reports what
+    /// it did in [`crate::ReeseResult::duration`].
+    pub duration: Option<DurationFault>,
+}
+
+impl<'a> ReeseFaults<'a> {
+    /// Injects single-instruction result flips.
+    pub fn injected(faults: &'a [InjectedFault]) -> ReeseFaults<'a> {
+        ReeseFaults {
+            injected: faults,
+            duration: None,
+        }
+    }
+
+    /// Applies one duration fault.
+    pub fn disturbance(fault: DurationFault) -> ReeseFaults<'a> {
+        ReeseFaults {
+            injected: &[],
+            duration: Some(fault),
+        }
+    }
+}
+
+/// The faults a dispatch-duplication run can be handed (see
+/// [`crate::DuplexSim::run_spec`]): result flips on single instructions.
+/// Duplication has no notion of a disturbance window, so unlike
+/// [`ReeseFaults`] there is no duration fault.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DuplexFaults<'a>(pub &'a [InjectedFault]);
+
 #[cfg(test)]
 mod tests {
     use super::*;

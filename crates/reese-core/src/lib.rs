@@ -18,18 +18,21 @@
 //! # Example
 //!
 //! ```
-//! use reese_core::{InjectedFault, ReeseConfig, ReeseSim};
+//! use reese_core::{InjectedFault, ReeseConfig, ReeseFaults, ReeseSim};
+//! use reese_pipeline::RunSpec;
 //!
 //! let prog = reese_isa::assemble(
 //!     "  li t0, 50\nloop: addi t0, t0, -1\n  bnez t0, loop\n  halt\n",
 //! )?;
 //! // Inject a transient bit flip into instruction #10's result latch.
 //! let sim = ReeseSim::new(ReeseConfig::starting().with_spare_int_alus(2));
-//! let r = sim.run_with_faults(&prog, &[InjectedFault::primary(10, 5)], u64::MAX)?;
+//! let faults = [InjectedFault::primary(10, 5)];
+//! let r = sim.run_spec(RunSpec::program(&prog).faults(ReeseFaults::injected(&faults)))?;
 //! assert_eq!(r.stats.detections, 1); // caught by the P/R comparison
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+mod check;
 mod config;
 mod duplex;
 mod fault;
@@ -40,7 +43,9 @@ mod stats;
 
 pub use config::ReeseConfig;
 pub use duplex::DuplexSim;
-pub use fault::{DetectionEvent, DurationFault, DurationReport, InjectedFault, Stream};
+pub use fault::{
+    DetectionEvent, DuplexFaults, DurationFault, DurationReport, InjectedFault, ReeseFaults, Stream,
+};
 pub use rqueue::{RQueue, RQueueEntry};
 pub use sim::ReeseSim;
 pub use stats::{ReeseError, ReeseResult, ReeseStats};
@@ -50,7 +55,7 @@ pub use stats::{ReeseError, ReeseResult, ReeseStats};
 pub use reese_pipeline::SchedulerMode;
 
 // Campaigns and sweeps share one `ReeseSim` across worker threads
-// (each `run*` call builds its own machine internally); keep the
+// (each run builds its own machine internally); keep the
 // simulator and its configuration `Send + Sync` so that fan-out stays
 // possible. This fails to compile if a non-shareable field sneaks in.
 const _: () = {

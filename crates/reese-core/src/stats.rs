@@ -1,6 +1,6 @@
 //! REESE run results and statistics.
 
-use crate::DetectionEvent;
+use crate::{DetectionEvent, DurationReport};
 use reese_pipeline::{PipelineStats, SimStop};
 use reese_stats::Histogram;
 use std::fmt;
@@ -136,6 +136,8 @@ pub struct ReeseResult {
     pub state_digest: u64,
     /// Every soft-error detection, in order.
     pub detections: Vec<DetectionEvent>,
+    /// What a duration fault did, when the run had one.
+    pub duration: Option<DurationReport>,
 }
 
 impl ReeseResult {

@@ -19,10 +19,12 @@ use super::{DetectionScheme, SchemeRun, Trial};
 use crate::engine::output_fnv;
 use crate::{FaultClass, TrialOutcome};
 use reese_ckpt::{Checkpoint, Scheme};
-use reese_core::{DuplexSim, InjectedFault, ReeseConfig, ReeseResult, ReeseSim};
+use reese_core::{
+    DuplexFaults, DuplexSim, InjectedFault, ReeseConfig, ReeseFaults, ReeseResult, ReeseSim,
+};
 use reese_isa::Program;
-use reese_pipeline::{PipelineSim, SimResult};
-use reese_trace::{DeepLog, Pair};
+use reese_pipeline::{PipelineSim, RunSpec, SimResult};
+use reese_trace::{DeepLog, NoopObserver};
 
 fn from_pipeline(r: SimResult) -> SchemeRun {
     SchemeRun {
@@ -116,7 +118,7 @@ impl DetectionScheme for BaselineScheme {
         budget: u64,
     ) -> Result<SchemeRun, String> {
         self.sim
-            .run_interval(ck.restore(program), ck.warm.as_ref(), budget)
+            .run_spec(RunSpec::restored(ck.restore(program), ck.warm.as_ref()).limit(budget))
             .map(from_pipeline)
             .map_err(|e| e.to_string())
     }
@@ -129,7 +131,11 @@ impl DetectionScheme for BaselineScheme {
         probe: &mut DeepLog,
     ) -> Result<SchemeRun, String> {
         self.sim
-            .run_interval_observed(ck.restore(program), ck.warm.as_ref(), budget, probe)
+            .run_spec(
+                RunSpec::restored(ck.restore(program), ck.warm.as_ref())
+                    .limit(budget)
+                    .observe(probe),
+            )
             .map(from_pipeline)
             .map_err(|e| e.to_string())
     }
@@ -143,26 +149,8 @@ impl DetectionScheme for BaselineScheme {
         // seq) and divergence (its commit) cycles; nothing detects.
         let mut probe = CommitProbe::watching(t.seq);
         let warm = t.ck.warm.as_ref();
-        let r = match (t.tracer.take(), t.probe.take()) {
-            (Some(tr), Some(dp)) => self.sim.run_interval_observed(
-                emu,
-                warm,
-                t.budget,
-                &mut Pair(&mut probe, &mut Pair(tr, dp)),
-            ),
-            (Some(tr), None) => {
-                self.sim
-                    .run_interval_observed(emu, warm, t.budget, &mut Pair(&mut probe, tr))
-            }
-            (None, Some(dp)) => {
-                self.sim
-                    .run_interval_observed(emu, warm, t.budget, &mut Pair(&mut probe, dp))
-            }
-            (None, None) => self
-                .sim
-                .run_interval_observed(emu, warm, t.budget, &mut probe),
-        }
-        .map_err(|e| e.to_string())?;
+        let base = RunSpec::restored(emu, warm).limit(t.budget);
+        let r = run_trial_observed!(t, self.sim, base, &mut probe).map_err(|e| e.to_string())?;
         let state_clean = output_fnv(&r.output) == t.baseline.output_fnv
             && (!t.baseline.halted || r.state_digest == t.baseline.digest);
         let committed = probe.commit_cycle(t.seq);
@@ -213,7 +201,7 @@ impl DetectionScheme for ReeseScheme {
         budget: u64,
     ) -> Result<SchemeRun, String> {
         self.sim
-            .run_interval(ck.restore(program), ck.warm.as_ref(), budget)
+            .run_spec(RunSpec::restored(ck.restore(program), ck.warm.as_ref()).limit(budget))
             .map(from_redundant)
             .map_err(|e| e.to_string())
     }
@@ -226,7 +214,11 @@ impl DetectionScheme for ReeseScheme {
         probe: &mut DeepLog,
     ) -> Result<SchemeRun, String> {
         self.sim
-            .run_interval_observed(ck.restore(program), ck.warm.as_ref(), budget, probe)
+            .run_spec(
+                RunSpec::restored(ck.restore(program), ck.warm.as_ref())
+                    .limit(budget)
+                    .observe(probe),
+            )
             .map(from_redundant)
             .map_err(|e| e.to_string())
     }
@@ -235,25 +227,11 @@ impl DetectionScheme for ReeseScheme {
         let faults = [latch_fault(t.class, t.seq, t.bit)];
         let emu = t.ck.restore(t.program);
         let warm = t.ck.warm.as_ref();
-        let r = match (t.tracer.take(), t.probe.take()) {
-            (Some(tr), Some(dp)) => self.sim.run_interval_with_faults_observed(
-                emu,
-                warm,
-                &faults,
-                t.budget,
-                &mut Pair(tr, dp),
-            ),
-            (Some(tr), None) => self
-                .sim
-                .run_interval_with_faults_observed(emu, warm, &faults, t.budget, tr),
-            (None, Some(dp)) => self
-                .sim
-                .run_interval_with_faults_observed(emu, warm, &faults, t.budget, dp),
-            (None, None) => self
-                .sim
-                .run_interval_with_faults(emu, warm, &faults, t.budget),
-        }
-        .map_err(|e| e.to_string())?;
+        let base = RunSpec::restored(emu, warm)
+            .limit(t.budget)
+            .faults(ReeseFaults::injected(&faults));
+        let r =
+            run_trial_observed!(t, self.sim, base, &mut NoopObserver).map_err(|e| e.to_string())?;
         Ok(score_redundant(&t, &r))
     }
 }
@@ -290,7 +268,7 @@ impl DetectionScheme for DuplexScheme {
         budget: u64,
     ) -> Result<SchemeRun, String> {
         self.sim
-            .run_interval(ck.restore(program), ck.warm.as_ref(), budget)
+            .run_spec(RunSpec::restored(ck.restore(program), ck.warm.as_ref()).limit(budget))
             .map(from_redundant)
             .map_err(|e| e.to_string())
     }
@@ -303,7 +281,11 @@ impl DetectionScheme for DuplexScheme {
         probe: &mut DeepLog,
     ) -> Result<SchemeRun, String> {
         self.sim
-            .run_interval_observed(ck.restore(program), ck.warm.as_ref(), budget, probe)
+            .run_spec(
+                RunSpec::restored(ck.restore(program), ck.warm.as_ref())
+                    .limit(budget)
+                    .observe(probe),
+            )
             .map(from_redundant)
             .map_err(|e| e.to_string())
     }
@@ -312,25 +294,11 @@ impl DetectionScheme for DuplexScheme {
         let faults = [latch_fault(t.class, t.seq, t.bit)];
         let emu = t.ck.restore(t.program);
         let warm = t.ck.warm.as_ref();
-        let r = match (t.tracer.take(), t.probe.take()) {
-            (Some(tr), Some(dp)) => self.sim.run_interval_with_faults_observed(
-                emu,
-                warm,
-                &faults,
-                t.budget,
-                &mut Pair(tr, dp),
-            ),
-            (Some(tr), None) => self
-                .sim
-                .run_interval_with_faults_observed(emu, warm, &faults, t.budget, tr),
-            (None, Some(dp)) => self
-                .sim
-                .run_interval_with_faults_observed(emu, warm, &faults, t.budget, dp),
-            (None, None) => self
-                .sim
-                .run_interval_with_faults(emu, warm, &faults, t.budget),
-        }
-        .map_err(|e| e.to_string())?;
+        let base = RunSpec::restored(emu, warm)
+            .limit(t.budget)
+            .faults(DuplexFaults(&faults));
+        let r =
+            run_trial_observed!(t, self.sim, base, &mut NoopObserver).map_err(|e| e.to_string())?;
         Ok(score_redundant(&t, &r))
     }
 }

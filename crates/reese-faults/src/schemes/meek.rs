@@ -33,8 +33,8 @@ use crate::{FaultClass, TrialOutcome};
 use reese_ckpt::{Checkpoint, Scheme};
 use reese_core::ReeseConfig;
 use reese_isa::{OpKind, Program};
-use reese_pipeline::PipelineSim;
-use reese_trace::{DeepLog, Pair};
+use reese_pipeline::{PipelineSim, RunSpec};
+use reese_trace::DeepLog;
 
 /// Number of small in-order checker cores.
 pub const CHECKERS: usize = 2;
@@ -113,7 +113,11 @@ impl DetectionScheme for MeekScheme {
         let mut probe = CommitProbe::new();
         let r = self
             .sim
-            .run_observed(program, 0, max_instructions, &mut probe)
+            .run_spec(
+                RunSpec::program(program)
+                    .limit(max_instructions)
+                    .observe(&mut probe),
+            )
             .map_err(|e| e.to_string())?;
         // The run is over when the last commit has been *checked*.
         let verified_end = checker_completions(&probe.commits)
@@ -139,7 +143,7 @@ impl DetectionScheme for MeekScheme {
         // charged explicitly from the checker model, and mixing the
         // drain tail into the reference would double-count it.
         self.sim
-            .run_interval(ck.restore(program), ck.warm.as_ref(), budget)
+            .run_spec(RunSpec::restored(ck.restore(program), ck.warm.as_ref()).limit(budget))
             .map(|r| SchemeRun {
                 cycles: r.stats.cycles,
                 committed: r.stats.committed,
@@ -158,7 +162,11 @@ impl DetectionScheme for MeekScheme {
         probe: &mut DeepLog,
     ) -> Result<SchemeRun, String> {
         self.sim
-            .run_interval_observed(ck.restore(program), ck.warm.as_ref(), budget, probe)
+            .run_spec(
+                RunSpec::restored(ck.restore(program), ck.warm.as_ref())
+                    .limit(budget)
+                    .observe(probe),
+            )
             .map(|r| SchemeRun {
                 cycles: r.stats.cycles,
                 committed: r.stats.committed,
@@ -180,26 +188,8 @@ impl DetectionScheme for MeekScheme {
         }
         let mut probe = CommitProbe::watching(t.seq);
         let warm = t.ck.warm.as_ref();
-        let r = match (t.tracer.take(), t.probe.take()) {
-            (Some(tr), Some(dp)) => self.sim.run_interval_observed(
-                emu,
-                warm,
-                t.budget,
-                &mut Pair(&mut probe, &mut Pair(tr, dp)),
-            ),
-            (Some(tr), None) => {
-                self.sim
-                    .run_interval_observed(emu, warm, t.budget, &mut Pair(&mut probe, tr))
-            }
-            (None, Some(dp)) => {
-                self.sim
-                    .run_interval_observed(emu, warm, t.budget, &mut Pair(&mut probe, dp))
-            }
-            (None, None) => self
-                .sim
-                .run_interval_observed(emu, warm, t.budget, &mut probe),
-        }
-        .map_err(|e| e.to_string())?;
+        let base = RunSpec::restored(emu, warm).limit(t.budget);
+        let r = run_trial_observed!(t, self.sim, base, &mut probe).map_err(|e| e.to_string())?;
 
         let pc = probe.pc_of(t.seq);
         let detected = match (primary, pc) {

@@ -33,6 +33,22 @@
 //! Window planning, anchor capture, baseline sharing, memoization, and
 //! report assembly all stay in the campaign, shared by every backend.
 
+/// Runs one trial's simulation on `$sim` with the scheme's own observer
+/// `$own` and the trial's optional tracer and forensic probe attached to
+/// the `RunSpec` `$spec`. Each combination is its own monomorphised
+/// call, so the common unobserved trial pays nothing.
+macro_rules! run_trial_observed {
+    ($t:expr, $sim:expr, $spec:expr, $own:expr) => {{
+        use ::reese_trace::Pair;
+        match ($t.tracer.take(), $t.probe.take()) {
+            (Some(tr), Some(dp)) => $sim.run_spec($spec.observe(Pair($own, &mut Pair(tr, dp)))),
+            (Some(tr), None) => $sim.run_spec($spec.observe(Pair($own, tr))),
+            (None, Some(dp)) => $sim.run_spec($spec.observe(Pair($own, dp))),
+            (None, None) => $sim.run_spec($spec.observe($own)),
+        }
+    }};
+}
+
 pub(crate) mod classic;
 pub(crate) mod meek;
 mod observe;

@@ -50,8 +50,8 @@ use reese_isa::{
     Instr, OpKind, Opcode, Program, ProgramBuilder, Reg, DATA_BASE, NUM_FP_REGS, NUM_INT_REGS,
     TEXT_BASE,
 };
-use reese_pipeline::PipelineSim;
-use reese_trace::{DeepLog, Pair};
+use reese_pipeline::{PipelineSim, RunSpec};
+use reese_trace::DeepLog;
 
 /// Exit code of the software trap handler ("SWFT"). A detected fault
 /// halts the machine with this sentinel; the scheme reserves it.
@@ -456,7 +456,7 @@ impl DetectionScheme for SwiftScheme {
         budget: u64,
     ) -> Result<SchemeRun, String> {
         self.sim
-            .run_interval(ck.restore(program), ck.warm.as_ref(), budget)
+            .run_spec(RunSpec::restored(ck.restore(program), ck.warm.as_ref()).limit(budget))
             .map(|r| SchemeRun {
                 cycles: r.stats.cycles,
                 committed: r.stats.committed,
@@ -475,7 +475,11 @@ impl DetectionScheme for SwiftScheme {
         probe: &mut DeepLog,
     ) -> Result<SchemeRun, String> {
         self.sim
-            .run_interval_observed(ck.restore(program), ck.warm.as_ref(), budget, probe)
+            .run_spec(
+                RunSpec::restored(ck.restore(program), ck.warm.as_ref())
+                    .limit(budget)
+                    .observe(probe),
+            )
             .map(|r| SchemeRun {
                 cycles: r.stats.cycles,
                 committed: r.stats.committed,
@@ -495,26 +499,8 @@ impl DetectionScheme for SwiftScheme {
         emu.inject_result_fault(t.seq, t.bit);
         let mut probe = CommitProbe::watching(t.seq);
         let warm = t.ck.warm.as_ref();
-        let r = match (t.tracer.take(), t.probe.take()) {
-            (Some(tr), Some(dp)) => self.sim.run_interval_observed(
-                emu,
-                warm,
-                t.budget,
-                &mut Pair(&mut probe, &mut Pair(tr, dp)),
-            ),
-            (Some(tr), None) => {
-                self.sim
-                    .run_interval_observed(emu, warm, t.budget, &mut Pair(&mut probe, tr))
-            }
-            (None, Some(dp)) => {
-                self.sim
-                    .run_interval_observed(emu, warm, t.budget, &mut Pair(&mut probe, dp))
-            }
-            (None, None) => self
-                .sim
-                .run_interval_observed(emu, warm, t.budget, &mut probe),
-        }
-        .map_err(|e| e.to_string())?;
+        let base = RunSpec::restored(emu, warm).limit(t.budget);
+        let r = run_trial_observed!(t, self.sim, base, &mut probe).map_err(|e| e.to_string())?;
 
         let detected = r.exit_code == Some(SWIFT_TRAP_EXIT);
         let committed = probe.commit_cycle(t.seq);

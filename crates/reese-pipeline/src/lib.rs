@@ -11,8 +11,11 @@
 //! correct path and the timing model charges latencies, structural
 //! stalls, and branch-misprediction penalties on the dynamic stream.
 //!
-//! The individual components are public because the REESE simulator in
-//! `reese-core` composes them with its R-stream Queue.
+//! One generic machine, [`Core`], runs the cycle loop for every
+//! redundancy scheme; a [`Redundancy`] policy supplies only what a
+//! scheme changes. The baseline is the policy without redundancy, and
+//! the components are public because `reese-core` builds REESE and
+//! dispatch duplication as two more policies.
 //!
 //! # Example
 //!
@@ -33,6 +36,7 @@ mod dyninst;
 mod fetch;
 mod fu;
 mod lsq;
+mod machine;
 mod readyring;
 mod ruu;
 mod sim;
@@ -45,8 +49,9 @@ pub use dyninst::{DynInst, PredictionInfo, Seq};
 pub use fetch::{FetchUnit, Fetched};
 pub use fu::FuPool;
 pub use lsq::{LoadPlan, Lsq};
+pub use machine::{Core, Machine, Redundancy, RunSpec, Start, WarmState};
 pub use readyring::ReadyRing;
 pub use ruu::Ruu;
-pub use sim::{PipelineSim, WarmState};
+pub use sim::PipelineSim;
 pub use stats::{PipelineStats, SimError, SimResult, SimStop};
 pub use wheel::EventWheel;

@@ -268,6 +268,27 @@ impl Observer for NoopObserver {
     fn idle_skip(&mut self, _from: u64, _to: u64, _state: &CycleState) {}
 }
 
+/// A borrowed observer observes for its owner, so a run can take an
+/// observer by value while the caller keeps it for reading afterwards.
+impl<O: Observer> Observer for &mut O {
+    const ENABLED: bool = O::ENABLED;
+
+    #[inline(always)]
+    fn event(&mut self, ev: TraceEvent) {
+        (**self).event(ev);
+    }
+
+    #[inline(always)]
+    fn cycle(&mut self, cycle: u64, state: &CycleState) {
+        (**self).cycle(cycle, state);
+    }
+
+    #[inline(always)]
+    fn idle_skip(&mut self, from: u64, to: u64, state: &CycleState) {
+        (**self).idle_skip(from, to, state);
+    }
+}
+
 /// Fans every hook out to two observers, in order. `ENABLED` is the OR
 /// of the parts, so pairing with [`NoopObserver`] costs nothing extra —
 /// each part still guards its own work behind its own flag at runtime.

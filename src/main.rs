@@ -31,13 +31,15 @@
 //! --machine starting|ruu32|wide16|ports4   base configuration (default starting)
 //! --ruu-size N       override the RUU window size (≥ 1)
 //! --lsq-size N       override the LSQ size (≥ 1, ≤ RUU size)
-//! --width N          override the fetch/issue width (≥ 1)
+//! --width N          override the fetch/issue width (≥ 1; duplex ≥ 2)
 //! --spare-alus N     extra integer ALUs for REESE
 //! --spare-muls N     extra integer multiplier/dividers for REESE
-//! --rqueue N         R-stream Queue size (default 32)
+//! --rqueue N         R-stream Queue size (≥ 1, default 32)
 //! --early-removal    enable the §4.3 RUU-removal optimisation
-//! --dup-period K     re-execute 1 in K instructions (default 1)
-//! --inject SEQ:BIT:p|r   inject a transient fault (repeatable)
+//! --dup-period K     re-execute 1 in K instructions (≥ 1, default 1)
+//! --inject SEQ:BIT:p|r   inject a transient fault (repeatable; reese and
+//!                    duplex only; SEQ counts from program start, so a
+//!                    fault inside the --skip region never fires)
 //! --max-insns N      stop after N committed instructions
 //! --skip N           fast-forward N instructions functionally first
 //! --stats            print the full statistics block
@@ -149,13 +151,15 @@
 //! ```
 
 use reese::ckpt::{self, Scheme, ShardOptions};
-use reese::core::{DuplexSim, InjectedFault, ReeseConfig, ReeseSim};
+use reese::core::{
+    DetectionEvent, DuplexFaults, DuplexSim, InjectedFault, ReeseConfig, ReeseFaults, ReeseSim,
+};
 use reese::cpu::Emulator;
 use reese::faults::schemes::EvalOptions;
 use reese::faults::SchemesReport;
 use reese::isa::{IsaId, Program};
-use reese::pipeline::{PipelineConfig, PipelineSim};
-use reese::trace::{MetricsSeries, TraceRing, Tracer};
+use reese::pipeline::{PipelineConfig, PipelineSim, RunSpec};
+use reese::trace::{MetricsSeries, NoopObserver, TraceRing, Tracer};
 use reese::workloads::rv32::Rv32Kernel;
 use reese::workloads::{measure_mix, Kernel};
 use std::process::ExitCode;
@@ -364,6 +368,27 @@ impl RunOpts {
         (self.trace_out.is_some() || self.metrics_out.is_some())
             .then(|| Tracer::new().with_interval(self.metrics_interval))
     }
+
+    /// The timed run every scheme shares: `--skip` functional
+    /// fast-forward, then `--max-insns` commits. `--inject` seqs stay
+    /// global, so a fault inside the skipped region never fires.
+    fn spec<F: Default>(&self) -> RunSpec<'_, NoopObserver, F> {
+        RunSpec::program(&self.program)
+            .skip(self.skip)
+            .limit(self.max_insns)
+    }
+}
+
+/// Prints each detection a redundant run reported.
+fn print_detections(detections: &[DetectionEvent]) {
+    for d in detections {
+        println!(
+            "  soft error detected: instruction #{} at pc {:#x}, latency {} cycles",
+            d.seq,
+            d.pc,
+            d.latency()
+        );
+    }
 }
 
 /// Writes a captured pipetrace: `.txt` → compact text, anything else →
@@ -437,12 +462,22 @@ fn positive<T: TryFrom<u64>>(flag: &str, raw: &str) -> Result<T, CliError> {
 
 /// Rejects inconsistent machine-geometry overrides at parse time, so
 /// a bad `--ruu-size`/`--lsq-size` pair surfaces as a CLI error instead
-/// of an `assert!` deep inside `PipelineConfig::validate`.
-fn check_geometry(base: &PipelineConfig) -> Result<(), CliError> {
+/// of an `assert!` deep inside `PipelineConfig::validate`. `duplex` says
+/// whether the command runs dispatch duplication, which moves
+/// `width / 2` instruction pairs per cycle and so needs width 2 or more
+/// (at width 1 it would stall until the deadlock detector fired).
+fn check_geometry(base: &PipelineConfig, duplex: bool) -> Result<(), CliError> {
     if base.lsq_size > base.ruu_size {
         return Err(format!(
             "`--lsq-size` ({}) must not exceed the RUU size ({}) — the LSQ tracks a subset of the RUU window",
             base.lsq_size, base.ruu_size
+        )
+        .into());
+    }
+    if duplex && base.width < 2 {
+        return Err(format!(
+            "dispatch duplication (`duplex`) needs `--width` ≥ 2: it dispatches and commits width / 2 instruction pairs per cycle, and width {} gives none",
+            base.width
         )
         .into());
     }
@@ -486,9 +521,9 @@ fn parse_run(args: &[String]) -> Result<RunOpts, CliError> {
             "--width" => opts.base.width = positive(a, value()?)?,
             "--spare-alus" => opts.spare_alus = value()?.parse()?,
             "--spare-muls" => opts.spare_muls = value()?.parse()?,
-            "--rqueue" => opts.rqueue = value()?.parse()?,
+            "--rqueue" => opts.rqueue = positive(a, value()?)?,
             "--early-removal" => opts.early_removal = true,
-            "--dup-period" => opts.dup_period = value()?.parse()?,
+            "--dup-period" => opts.dup_period = positive(a, value()?)?,
             "--inject" => opts.faults.push(parse_fault(value()?)?),
             "--max-insns" => opts.max_insns = value()?.parse()?,
             "--skip" => opts.skip = value()?.parse()?,
@@ -503,7 +538,7 @@ fn parse_run(args: &[String]) -> Result<RunOpts, CliError> {
         }
     }
     opts.program = load_program(isa, file, kernel, scale, None)?;
-    check_geometry(&opts.base)?;
+    check_geometry(&opts.base, opts.scheme == "duplex")?;
     Ok(opts)
 }
 
@@ -523,12 +558,18 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             print_output(&r.output);
         }
         "baseline" => {
+            if !o.faults.is_empty() {
+                return Err(
+                    "`baseline` has no redundancy to detect faults; inject them with `reese campaign --scheme baseline`"
+                        .into(),
+                );
+            }
             let mut tracer = o.tracer();
+            let sim = PipelineSim::new(o.base.clone());
+            let spec = o.spec();
             let r = match &mut tracer {
-                Some(t) => {
-                    PipelineSim::new(o.base).run_observed(&o.program, o.skip, o.max_insns, t)?
-                }
-                None => PipelineSim::new(o.base).run_region(&o.program, o.skip, o.max_insns)?,
+                Some(t) => sim.run_spec(spec.observe(t))?,
+                None => sim.run_spec(spec)?,
             };
             println!(
                 "baseline: {} instructions in {} cycles — IPC {:.3}",
@@ -546,45 +587,37 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         }
         "duplex" => {
             let mut tracer = o.tracer();
+            let sim = DuplexSim::new(o.base.clone());
+            let spec = o.spec().faults(DuplexFaults(&o.faults));
             let r = match &mut tracer {
-                Some(t) => DuplexSim::new(o.base).run_limit_observed(&o.program, o.max_insns, t)?,
-                None => DuplexSim::new(o.base).run_limit(&o.program, o.max_insns)?,
+                Some(t) => sim.run_spec(spec.observe(t))?,
+                None => sim.run_spec(spec)?,
             };
             println!(
-                "dispatch duplication: {} instructions in {} cycles — IPC {:.3}, {} comparisons",
+                "dispatch duplication: {} instructions in {} cycles — IPC {:.3}, {} comparisons, {} detections",
                 r.committed_instructions(),
                 r.cycles(),
                 r.ipc(),
-                r.stats.comparisons
+                r.stats.comparisons,
+                r.stats.detections
             );
+            print_detections(&r.detections);
             print_output(&r.output);
             write_observability(tracer, o.trace_out.as_deref(), o.metrics_out.as_deref())?;
         }
         "reese" => {
             let mut tracer = o.tracer();
-            let cfg = ReeseConfig::over(o.base)
+            let cfg = ReeseConfig::over(o.base.clone())
                 .with_spare_int_alus(o.spare_alus)
                 .with_spare_int_muldivs(o.spare_muls)
                 .with_rqueue_size(o.rqueue)
                 .with_early_removal(o.early_removal)
                 .with_duplication_period(o.dup_period);
+            let sim = ReeseSim::new(cfg);
+            let spec = o.spec().faults(ReeseFaults::injected(&o.faults));
             let r = match &mut tracer {
-                Some(t) => {
-                    // run_region drops faults when skipping; mirror that so the
-                    // traced and untraced paths simulate the same run.
-                    let faults: &[InjectedFault] = if o.skip > 0 { &[] } else { &o.faults };
-                    ReeseSim::new(cfg).run_with_faults_observed(
-                        &o.program,
-                        faults,
-                        o.skip,
-                        o.max_insns,
-                        t,
-                    )?
-                }
-                None if o.skip > 0 => {
-                    ReeseSim::new(cfg).run_region(&o.program, o.skip, o.max_insns)?
-                }
-                None => ReeseSim::new(cfg).run_with_faults(&o.program, &o.faults, o.max_insns)?,
+                Some(t) => sim.run_spec(spec.observe(t))?,
+                None => sim.run_spec(spec)?,
             };
             println!(
                 "REESE: {} instructions in {} cycles — IPC {:.3}, {} comparisons, {} detections",
@@ -594,14 +627,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
                 r.stats.comparisons,
                 r.stats.detections
             );
-            for d in &r.detections {
-                println!(
-                    "  soft error detected: instruction #{} at pc {:#x}, latency {} cycles",
-                    d.seq,
-                    d.pc,
-                    d.latency()
-                );
-            }
+            print_detections(&r.detections);
             print_output(&r.output);
             if o.verbose {
                 print!("{}", r.stats);
@@ -745,7 +771,7 @@ fn parse_campaign(args: &[String]) -> Result<CampaignOpts, CliError> {
         return Err("`--resume` already appends to its log; drop `--outcomes-jsonl`".into());
     }
     opts.program = load_program(isa, file, kernel, opts.scale, Some("lisp"))?;
-    check_geometry(&opts.base)?;
+    check_geometry(&opts.base, opts.scheme == Scheme::Duplex)?;
     Ok(opts)
 }
 
@@ -806,12 +832,10 @@ fn cmd_campaign(args: &[String]) -> Result<(), CliError> {
         // of all of them would be meaningless. Trace the clean (fault-free)
         // reference run instead, which every trial is compared against.
         let mut tracer = Tracer::new().with_interval(o.metrics_interval);
-        ReeseSim::new(cfg).run_with_faults_observed(
-            &o.program,
-            &[],
-            0,
-            o.max_insns,
-            &mut tracer,
+        ReeseSim::new(cfg).run_spec(
+            RunSpec::program(&o.program)
+                .limit(o.max_insns)
+                .observe(&mut tracer),
         )?;
         tracer.finish();
         let (ring, _) = tracer.into_parts();
@@ -884,7 +908,9 @@ fn parse_schemes(args: &[String]) -> Result<SchemesOpts, CliError> {
             other => return Err(format!("unknown option `{other}`").into()),
         }
     }
-    check_geometry(&opts.base)?;
+    // The ranking runs every registered scheme, dispatch duplication
+    // included.
+    check_geometry(&opts.base, true)?;
     if scale != 1 && target.is_some() {
         return Err("give --scale or --target, not both".into());
     }
@@ -943,12 +969,10 @@ fn cmd_schemes(args: &[String]) -> Result<(), CliError> {
         let mut offset = 0u64;
         for (name, program) in &o.programs {
             let mut tracer = Tracer::new().with_interval(o.metrics_interval);
-            let r = ReeseSim::new(cfg.clone()).run_with_faults_observed(
-                program,
-                &[],
-                0,
-                o.eval.max_instructions,
-                &mut tracer,
+            let r = ReeseSim::new(cfg.clone()).run_spec(
+                RunSpec::program(program)
+                    .limit(o.eval.max_instructions)
+                    .observe(&mut tracer),
             )?;
             tracer.finish();
             let (kernel_ring, kernel_metrics) = tracer.into_parts();
@@ -1038,7 +1062,7 @@ fn parse_explain(args: &[String]) -> Result<ExplainOpts, CliError> {
     opts.outcomes = outcomes.ok_or("`explain` needs --outcomes <campaign log>")?;
     opts.which = which.ok_or("address the trial with --trial <index> or --id <stable id>")?;
     opts.program = load_program(isa, file, kernel, scale, Some("lisp"))?;
-    check_geometry(&opts.base)?;
+    check_geometry(&opts.base, opts.scheme == Scheme::Duplex)?;
     Ok(opts)
 }
 
@@ -1140,7 +1164,7 @@ fn parse_shard(args: &[String]) -> Result<ShardCliOpts, CliError> {
         opts.shard.metrics_interval = metrics_interval;
     }
     opts.program = load_program(isa, file, kernel, scale, Some("lisp"))?;
-    check_geometry(&opts.base)?;
+    check_geometry(&opts.base, opts.scheme == Scheme::Duplex)?;
     Ok(opts)
 }
 
@@ -2073,6 +2097,46 @@ mod tests {
             assert!(parse_campaign(&strings(&[flag, "0"])).is_err());
             assert!(parse_shard(&strings(&[flag, "0"])).is_err());
         }
+        // The REESE knobs used to panic inside `ReeseConfig::validate`.
+        for flag in ["--rqueue", "--dup-period"] {
+            let err = parse_run(&strings(&["--kernel", "strings", flag, "0"]))
+                .err()
+                .expect("zero REESE knob must be rejected")
+                .to_string();
+            assert!(err.contains(flag), "got: {err}");
+            assert!(err.contains("at least 1"), "got: {err}");
+        }
+    }
+
+    #[test]
+    fn duplex_at_width_one_is_rejected_on_every_subcommand() {
+        // Pairs dispatch and commit `width / 2` at a time: at width 1
+        // the machine used to stall until the deadlock detector fired.
+        fn assert_names_duplex_width(err: Option<CliError>) {
+            let err = err.expect("duplex at width 1 must be rejected").to_string();
+            assert!(
+                err.contains("duplex") && err.contains("--width"),
+                "got: {err}"
+            );
+        }
+        let duplex = ["--scheme", "duplex", "--width", "1"];
+        let mut run_args = vec!["--kernel", "strings"];
+        run_args.extend(duplex);
+        assert_names_duplex_width(parse_run(&strings(&run_args)).err());
+        assert_names_duplex_width(parse_campaign(&strings(&duplex)).err());
+        assert_names_duplex_width(parse_shard(&strings(&duplex)).err());
+        let mut explain_args = vec!["--outcomes", "log.jsonl", "--trial", "0"];
+        explain_args.extend(duplex);
+        assert_names_duplex_width(parse_explain(&strings(&explain_args)).err());
+        // The ranking always includes duplex.
+        let schemes = parse_schemes(&strings(&["--kernel", "strings", "--width", "1"]));
+        assert_names_duplex_width(schemes.err());
+        // Other schemes still run single-width machines.
+        let mut reese_args = vec!["--kernel", "strings", "--scheme", "reese", "--width", "1"];
+        assert!(parse_run(&strings(&reese_args)).is_ok());
+        reese_args[3] = "baseline";
+        assert!(parse_run(&strings(&reese_args)).is_ok());
+        assert!(parse_campaign(&strings(&["--width", "1"])).is_ok());
     }
 
     #[test]

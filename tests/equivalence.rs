@@ -6,7 +6,7 @@
 
 use reese::core::{ReeseConfig, ReeseSim};
 use reese::cpu::Emulator;
-use reese::pipeline::{PipelineConfig, PipelineSim};
+use reese::pipeline::{PipelineConfig, PipelineSim, RunSpec};
 use reese::workloads::Kernel;
 
 #[test]
@@ -167,7 +167,7 @@ fn fast_forward_preserves_architectural_results() {
     let total = full.committed_instructions();
     let skip = total / 2;
     let region = PipelineSim::new(PipelineConfig::starting())
-        .run_region(&program, skip, u64::MAX)
+        .run_spec(RunSpec::program(&program).skip(skip))
         .expect("runs");
     // The timed region commits exactly the remaining instructions and
     // lands on the same final architectural state.
@@ -179,7 +179,7 @@ fn fast_forward_preserves_architectural_results() {
     );
 
     let reese_region = ReeseSim::new(ReeseConfig::starting())
-        .run_region(&program, skip, u64::MAX)
+        .run_spec(RunSpec::program(&program).skip(skip))
         .expect("runs");
     assert_eq!(reese_region.committed_instructions(), total - skip);
     assert_eq!(reese_region.state_digest, full.state_digest);

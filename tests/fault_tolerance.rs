@@ -1,8 +1,9 @@
 //! End-to-end fault-tolerance properties: the coverage REESE promises
 //! in §4.2, measured rather than argued.
 
-use reese::core::{InjectedFault, ReeseConfig, ReeseError, ReeseSim};
+use reese::core::{InjectedFault, ReeseConfig, ReeseError, ReeseFaults, ReeseSim};
 use reese::faults::{Campaign, FaultClass, FaultMix};
+use reese::pipeline::RunSpec;
 use reese::workloads::Kernel;
 
 #[test]
@@ -20,7 +21,7 @@ fn every_result_error_is_detected_and_recovered() {
             InjectedFault::redundant(seq, bit)
         };
         let run = sim
-            .run_with_faults(&program, &[fault], u64::MAX)
+            .run_spec(RunSpec::program(&program).faults(ReeseFaults::injected(&[fault])))
             .expect("faulted run");
         assert_eq!(run.stats.detections, 1, "{kernel}: the flip must be caught");
         assert_eq!(
@@ -87,7 +88,10 @@ fn sticky_faults_are_reported_as_permanent() {
     let program = Kernel::Database.build(1);
     let sim = ReeseSim::new(ReeseConfig::starting());
     let err = sim
-        .run_with_faults(&program, &[InjectedFault::permanent(50, 3)], u64::MAX)
+        .run_spec(
+            RunSpec::program(&program)
+                .faults(ReeseFaults::injected(&[InjectedFault::permanent(50, 3)])),
+        )
         .expect_err("a sticky fault cannot be recovered from");
     match err {
         ReeseError::PermanentFault { seq, .. } => assert_eq!(seq, 50),
@@ -104,7 +108,7 @@ fn multiple_transients_each_detected_once() {
         InjectedFault::primary(2_000, 63),
     ];
     let run = ReeseSim::new(ReeseConfig::starting())
-        .run_with_faults(&program, &faults, u64::MAX)
+        .run_spec(RunSpec::program(&program).faults(ReeseFaults::injected(&faults)))
         .expect("runs");
     assert_eq!(run.stats.detections, 3);
     let seqs: Vec<u64> = run.detections.iter().map(|d| d.seq).collect();
@@ -131,7 +135,10 @@ fn partial_duplication_trades_coverage_for_nothing_worse() {
     assert!(half.stats.r_skipped > 0);
     // A fault on a skipped (odd) instruction silently escapes.
     let escaped = ReeseSim::new(ReeseConfig::starting().with_duplication_period(2))
-        .run_with_faults(&program, &[InjectedFault::primary(101, 5)], u64::MAX)
+        .run_spec(
+            RunSpec::program(&program)
+                .faults(ReeseFaults::injected(&[InjectedFault::primary(101, 5)])),
+        )
         .expect("runs");
     assert_eq!(
         escaped.stats.detections, 0,
@@ -145,7 +152,10 @@ fn detection_works_in_early_removal_mode_too() {
     let sim = ReeseSim::new(ReeseConfig::starting().with_early_removal(true));
     let clean = sim.run(&program).expect("runs");
     let run = sim
-        .run_with_faults(&program, &[InjectedFault::primary(777, 21)], u64::MAX)
+        .run_spec(
+            RunSpec::program(&program)
+                .faults(ReeseFaults::injected(&[InjectedFault::primary(777, 21)])),
+        )
         .expect("runs");
     assert_eq!(run.stats.detections, 1);
     assert_eq!(run.state_digest, clean.state_digest);
@@ -169,7 +179,11 @@ fn short_duration_faults_always_detected() {
             bit: 5,
         };
         let (run, report) = sim
-            .run_with_duration_fault(&program, fault, u64::MAX)
+            .run_spec(RunSpec::program(&program).faults(ReeseFaults::disturbance(fault)))
+            .map(|r| {
+                let report = r.duration.expect("a duration fault reports");
+                (r, report)
+            })
             .expect("runs");
         assert_eq!(
             report.silent_both, 0,
@@ -206,7 +220,12 @@ fn long_duration_faults_escape_silently() {
         class: FuClass::IntAlu,
         bit: 3,
     };
-    match sim.run_with_duration_fault(&program, fault, u64::MAX) {
+    match sim
+        .run_spec(RunSpec::program(&program).faults(ReeseFaults::disturbance(fault)))
+        .map(|r| {
+            let report = r.duration.expect("a duration fault reports");
+            (r, report)
+        }) {
         Ok((_, report)) => {
             assert!(
                 report.silent_both > 0,
