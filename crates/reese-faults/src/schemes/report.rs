@@ -22,7 +22,6 @@ use crate::{Campaign, CampaignError, FaultMix, TrialEngine};
 use reese_ckpt::Scheme;
 use reese_core::ReeseConfig;
 use reese_isa::Program;
-use reese_pipeline::PipelineSim;
 use reese_stats::Histogram;
 use std::fmt;
 
@@ -130,16 +129,13 @@ impl SchemesReport {
         };
         let mut rows = Vec::with_capacity(Scheme::ALL.len() * programs.len());
         for (kernel, program) in programs {
-            let baseline_cycles = PipelineSim::new(config.pipeline.clone())
-                .run_limit(program, opts.max_instructions)
-                .map_err(|e| CampaignError::Workload(e.to_string()))?
-                .stats
-                .cycles;
+            // Each cell's campaign already runs its scheme's clean
+            // whole-program run; the time overhead divides its cycles
+            // by the baseline cell's once the kernel's cells are done.
+            let mut cells = Vec::with_capacity(Scheme::ALL.len());
             for scheme in Scheme::ALL {
-                let backend = build(scheme, config);
-                let prepared = backend.prepare(program).map_err(CampaignError::Workload)?;
-                let clean = backend
-                    .run_limit(&prepared, opts.max_instructions)
+                let prepared = build(scheme, config)
+                    .prepare(program)
                     .map_err(CampaignError::Workload)?;
                 let mut campaign = Campaign::new(config.clone(), *mix)
                     .scheme(scheme)
@@ -159,7 +155,7 @@ impl SchemesReport {
                     campaign = campaign.telemetry(std::sync::Arc::clone(t));
                 }
                 let report = campaign.run(program)?;
-                rows.push(SchemeRow {
+                let row = SchemeRow {
                     scheme,
                     kernel: kernel.clone(),
                     trials: report.trials(),
@@ -170,9 +166,19 @@ impl SchemesReport {
                     p90_latency: report.latency_percentile(9, 10).unwrap_or(0),
                     p99_latency: report.latency_percentile(99, 100).unwrap_or(0),
                     latency_histogram: report.latency_histogram(),
-                    time_overhead: clean.cycles as f64 / baseline_cycles.max(1) as f64,
+                    time_overhead: 0.0,
                     code_overhead: prepared.len() as f64 / program.len().max(1) as f64,
-                });
+                };
+                cells.push((row, report.clean_cycles));
+            }
+            let baseline_cycles = cells
+                .iter()
+                .find(|(row, _)| row.scheme == Scheme::Baseline)
+                .map(|&(_, cycles)| cycles)
+                .expect("Scheme::ALL registers the baseline");
+            for (mut row, cycles) in cells {
+                row.time_overhead = cycles as f64 / baseline_cycles.max(1) as f64;
+                rows.push(row);
             }
         }
         Ok(SchemesReport { rows })
@@ -340,5 +346,46 @@ impl fmt::Display for SchemesReport {
             )?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use reese_pipeline::PipelineSim;
+    use reese_workloads::Kernel;
+
+    #[test]
+    fn time_overhead_matches_a_separate_clean_run_per_scheme() {
+        let config = ReeseConfig::starting();
+        let program = Kernel::Strings.build_for(4_000);
+        let opts = EvalOptions {
+            trials: 4,
+            jobs: 2,
+            ..EvalOptions::default()
+        };
+        let report = SchemesReport::evaluate(
+            &config,
+            &FaultMix::result_errors_only(),
+            &[("strings".to_string(), program.clone())],
+            &opts,
+        )
+        .unwrap();
+        // The oracle: a separate clean run per scheme over a separate
+        // unprotected-core run, independent of the campaigns.
+        let baseline_cycles = PipelineSim::new(config.pipeline.clone())
+            .run_limit(&program, opts.max_instructions)
+            .unwrap()
+            .stats
+            .cycles;
+        assert_eq!(report.rows.len(), Scheme::ALL.len());
+        for (row, scheme) in report.rows.iter().zip(Scheme::ALL) {
+            assert_eq!(row.scheme, scheme);
+            let backend = build(scheme, &config);
+            let prepared = backend.prepare(&program).unwrap();
+            let clean = backend.run_limit(&prepared, opts.max_instructions).unwrap();
+            let expected = clean.cycles as f64 / baseline_cycles.max(1) as f64;
+            assert_eq!(row.time_overhead.to_bits(), expected.to_bits(), "{scheme}");
+        }
     }
 }

@@ -14,7 +14,7 @@
 //!
 //! 1. `campaign_start` — scheme, engine, jobs, trials, seed.
 //! 2. `reference_done` — checkpoint sweep cost: resident checkpoints,
-//!    sweep stride, dynamic length, clean cycles.
+//!    sweep stride, dynamic length, and the sweep's wall time.
 //! 3. `resume_loaded` — recorded trials reused from a resume log.
 //! 4. `plan` — todo count, distinct simulated keys, and the
 //!    memoization hit rate (`1 - keys/todo`).
@@ -26,7 +26,10 @@
 //!    and an ETA, sampled from the worker fan-out.
 //! 8. `trials_done` — end-to-end fan-out stats: items, wall ms, items
 //!    per second, per-worker item/steal counts.
-//! 9. `campaign_done` — trials, detected, coverage, total wall ms.
+//! 9. `clean_done` — the clean whole-program run's cycles and its own
+//!    wall time. The run goes beside phases 2–8, so this is emitted
+//!    once it has been joined, not when it finished.
+//! 10. `campaign_done` — trials, detected, coverage, total wall ms.
 
 use reese_stats::ParallelStats;
 use std::fs::File;

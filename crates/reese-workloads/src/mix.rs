@@ -2,7 +2,7 @@
 //! microarchitectural signature resembles its SPEC95 counterpart.
 
 use reese_cpu::Emulator;
-use reese_isa::{OpKind, Opcode, Program};
+use reese_isa::{OpKind, Program};
 use std::fmt;
 
 /// Dynamic instruction mix of a program run.
@@ -114,7 +114,9 @@ pub fn measure_mix(program: &Program, max_instructions: u64) -> MixReport {
                 _ => mix.int_alu += 1,
             },
         }
-        if op == Opcode::Halt {
+        // Stop where the emulator halts: a native `halt` or an rv32i
+        // exit `ecall`.
+        if emu.exit_code().is_some() {
             break;
         }
     }
@@ -148,6 +150,17 @@ mod tests {
         let m = measure_mix(&prog, 25);
         assert_eq!(m.total, 25);
         assert_eq!(m.jumps, 25);
+    }
+
+    #[test]
+    fn rv32_mix_stops_at_the_exit_ecall() {
+        for kernel in crate::rv32::Rv32Kernel::ALL {
+            let prog = kernel.build(1);
+            let run = Emulator::new(&prog).run(10_000_000).unwrap();
+            assert!(run.halted(), "{kernel} must exit");
+            let m = measure_mix(&prog, 10_000_000);
+            assert_eq!(m.total, run.instructions, "{kernel}");
+        }
     }
 
     #[test]

@@ -193,6 +193,7 @@ const TRANSCRIPT: &[&str] = &[
     "trace lisp --out {tmp}/lisp.trace",
     "trace --isa rv32i imaging",
     "kernels",
+    "mix --isa rv32i lisp",
 ];
 
 /// Whether a stdout line reports wall-clock time (the campaign
