@@ -1,5 +1,4 @@
-//! Scan vs event-driven scheduler micro-benchmark, plus the
-//! sharded-vs-monolithic comparison for the checkpoint subsystem.
+//! Scan vs event-driven scheduler micro-benchmark.
 //!
 //! Times all three machine models (baseline pipeline, REESE, duplex)
 //! on a long-running kernel under both [`SchedulerMode`]s, on the
@@ -16,9 +15,7 @@
 //!
 //! The two modes must also produce bit-identical results; this binary
 //! asserts that on every cell, so a perf run doubles as an
-//! equivalence check. The sharded row likewise asserts the
-//! `reese-ckpt` oracle: stitched instruction counts and architectural
-//! state must match the monolithic run exactly.
+//! equivalence check.
 //!
 //! A final section prices every registered detection scheme through
 //! the [`reese_faults::schemes`] trait: clean-run simulated-cycle and
@@ -28,7 +25,7 @@
 //! overhead collapsing toward 1.0x means the scheme quietly stopped
 //! doing its redundant work.
 
-use reese_ckpt::{run_sharded, Scheme, ShardOptions};
+use reese_ckpt::Scheme;
 use reese_core::{DuplexSim, ReeseConfig, ReeseSim, SchedulerMode};
 use reese_faults::schemes;
 use reese_pipeline::{PipelineConfig, PipelineSim, RunSpec};
@@ -146,20 +143,6 @@ impl SchemeCell {
             .iter()
             .find(|(n, _, _)| *n == self.name)
             .map(|&(_, t, c)| (t, c))
-    }
-}
-
-struct ShardCell {
-    intervals: usize,
-    warmup: u64,
-    pair: PairMeasurement,
-    monolithic_cycles: u64,
-    sharded_cycles: u64,
-}
-
-impl ShardCell {
-    fn cycle_error(&self) -> f64 {
-        (self.sharded_cycles as f64 - self.monolithic_cycles as f64) / self.monolithic_cycles as f64
     }
 }
 
@@ -290,62 +273,6 @@ fn main() {
         g.finish();
     }
 
-    // Sharded vs monolithic: one REESE run on the starting machine,
-    // split into 4 intervals through the checkpoint subsystem. The
-    // oracle certifies the stitched run commits the same instructions
-    // to the same architectural state; the recorded cycle error is the
-    // cold-boundary cost the warm-up window is buying down.
-    let shard_cell = {
-        let mut g = c.benchmark_group("sharded (starting, reese)");
-        g.sample_size(samples.min(5));
-        let config = ReeseConfig::starting();
-        let opts = ShardOptions {
-            intervals: 4,
-            warmup: 4_000,
-            compare_monolithic: false,
-            ..ShardOptions::default()
-        };
-        let monolithic = ReeseSim::new(config.clone())
-            .run(&program)
-            .expect("kernel runs");
-        let report =
-            run_sharded(&program, &config, Scheme::Reese, &opts).expect("sharded run succeeds");
-        assert!(
-            report.oracle.exact(),
-            "sharded run diverged functionally: {:?}",
-            report.oracle
-        );
-        assert_eq!(
-            report.total_instructions,
-            monolithic.stats.pipeline.committed
-        );
-        let pair = g.bench_pair(
-            "monolithic",
-            "sharded x4",
-            || {
-                black_box(
-                    ReeseSim::new(config.clone())
-                        .run(&program)
-                        .expect("kernel runs"),
-                )
-            },
-            || {
-                black_box(
-                    run_sharded(&program, &config, Scheme::Reese, &opts)
-                        .expect("sharded run succeeds"),
-                )
-            },
-        );
-        g.finish();
-        ShardCell {
-            intervals: opts.intervals,
-            warmup: opts.warmup,
-            pair,
-            monolithic_cycles: monolithic.stats.pipeline.cycles,
-            sharded_cycles: report.sharded_cycles,
-        }
-    };
-
     // Observability overhead: the same REESE run untraced (no-op
     // observer, statically compiled out) vs with a collecting Tracer
     // attached (full pipetrace ring + sampled metrics). The untraced
@@ -472,14 +399,6 @@ fn main() {
     }
 
     println!(
-        "sharded x{} (warmup {}): wall {:.2}x vs monolithic, cycle error {:+.2}%, \
-         instruction counts exact",
-        shard_cell.intervals,
-        shard_cell.warmup,
-        shard_cell.pair.speedup,
-        shard_cell.cycle_error() * 100.0
-    );
-    println!(
         "traced (starting, reese): {:.2}x wall overhead collecting {} trace events \
          and {} metrics rows, results bit-identical",
         trace_cell.overhead(),
@@ -562,22 +481,7 @@ fn main() {
     json.push_str(&rows.join(",\n"));
     json.push_str("\n  ],\n");
     json.push_str(&format!(
-        "  \"sharded\": {{\"machine\": \"starting (RUU=16, LSQ=8)\", \"sim\": \"reese\", \
-         \"intervals\": {}, \"warmup\": {}, \"monolithic_cycles\": {}, \
-         \"sharded_cycles\": {}, \"cycle_error\": {:.5}, \
-         \"monolithic_min_s\": {:.6}, \"sharded_min_s\": {:.6}, \
-         \"wall_speedup\": {:.3}, \"functionally_exact\": true}}\n",
-        shard_cell.intervals,
-        shard_cell.warmup,
-        shard_cell.monolithic_cycles,
-        shard_cell.sharded_cycles,
-        shard_cell.cycle_error(),
-        shard_cell.pair.a.min.as_secs_f64(),
-        shard_cell.pair.b.min.as_secs_f64(),
-        shard_cell.pair.speedup,
-    ));
-    json.push_str(&format!(
-        "  ,\"traced\": {{\"machine\": \"starting (RUU=16, LSQ=8)\", \"sim\": \"reese\", \
+        "  \"traced\": {{\"machine\": \"starting (RUU=16, LSQ=8)\", \"sim\": \"reese\", \
          \"untraced_min_s\": {:.6}, \"traced_min_s\": {:.6}, \"overhead\": {:.3}, \
          \"trace_events\": {}, \"metrics_rows\": {}, \"bit_identical\": true}}\n",
         trace_cell.pair.a.min.as_secs_f64(),

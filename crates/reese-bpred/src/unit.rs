@@ -72,14 +72,6 @@ pub struct BranchStats {
 }
 
 impl BranchStats {
-    /// Accumulates another interval's counters into this one.
-    pub fn merge(&mut self, other: &BranchStats) {
-        self.branch_lookups += other.branch_lookups;
-        self.branch_mispredicts += other.branch_mispredicts;
-        self.indirect_lookups += other.indirect_lookups;
-        self.indirect_mispredicts += other.indirect_mispredicts;
-    }
-
     /// Direction misprediction rate in `[0, 1]`.
     pub fn mispredict_rate(&self) -> f64 {
         if self.branch_lookups == 0 {

@@ -1,14 +1,13 @@
-//! Fast functional fast-forward: run the emulator to chosen instruction
-//! boundaries and emit [`Checkpoint`]s, optionally warming the caches,
-//! TLBs, and branch predictor over the last `warmup` instructions
-//! before each boundary.
+//! Fast functional fast-forward: run the emulator to instruction
+//! boundaries and emit [`Checkpoint`]s whose warm section carries the
+//! caches, TLBs, and branch predictor as the detailed machine would
+//! have left them.
 //!
 //! The fast-forward pass is purely functional — no pipeline, no
-//! scheduling — so it costs one emulator step per instruction plus, only
-//! inside warm windows, one hierarchy access and one predictor update
-//! per instruction. Warm windows never overlap (each is clamped at the
-//! previous boundary), so at most one set of warm structures is live at
-//! a time.
+//! scheduling — so it costs one emulator step, one hierarchy access and
+//! one predictor update per instruction. The warm structures run
+//! continuously from instruction 0, so every checkpoint past 0 carries
+//! the program's full warm history.
 
 use crate::Checkpoint;
 use reese_bpred::{BranchStats, BranchUnit};
@@ -17,89 +16,6 @@ use reese_isa::{OpKind, Opcode, Program, Reg};
 use reese_mem::{CacheStats, MemHierarchy};
 use reese_pipeline::{PipelineConfig, WarmState};
 
-/// Evenly spaced interval start points: `i * total / intervals` for
-/// `i` in `0..intervals`, deduplicated (short programs can collapse
-/// adjacent boundaries). Always starts at 0.
-pub fn boundaries(total: u64, intervals: usize) -> Vec<u64> {
-    let k = intervals.max(1) as u64;
-    let mut out: Vec<u64> = (0..k).map(|i| i * total / k).collect();
-    out.dedup();
-    out
-}
-
-/// Runs the program functionally, capturing a [`Checkpoint`] at each of
-/// the given instruction `boundaries` (which must be strictly ascending
-/// and reachable before the program halts). With `warmup > 0`, the last
-/// `warmup` instructions before each boundary — clamped at the previous
-/// boundary — additionally drive a fresh cache hierarchy and branch
-/// predictor whose state is attached to that boundary's checkpoint.
-///
-/// The warm structures mirror what the detailed front end and execution
-/// stages would have touched: an instruction-cache access per fetch, a
-/// data access per load/store, and a predict-then-train pass per
-/// control instruction. Their statistics are scrubbed before attachment
-/// so a restored interval reports only its own activity.
-///
-/// # Errors
-///
-/// Returns [`EmuError`] if the program leaves its text segment.
-///
-/// # Panics
-///
-/// Panics if `boundaries` is not strictly ascending or extends past the
-/// program's halt.
-pub fn checkpoints_at(
-    program: &Program,
-    boundaries: &[u64],
-    warmup: u64,
-    pipeline: &PipelineConfig,
-) -> Result<Vec<Checkpoint>, EmuError> {
-    assert!(
-        boundaries.windows(2).all(|w| w[0] < w[1]),
-        "checkpoint boundaries must be strictly ascending"
-    );
-    let mut emu = Emulator::new(program);
-    let inst_size = program.inst_size();
-    let mut out = Vec::with_capacity(boundaries.len());
-    let mut warm_active: Option<(MemHierarchy, BranchUnit)> = None;
-    let mut next = 0;
-    while next < boundaries.len() {
-        let executed = emu.instructions();
-        if boundaries[next] == executed {
-            let warm = warm_active.take().map(|(hierarchy, branch)| {
-                scrubbed(WarmState {
-                    hierarchy: hierarchy.export_state(),
-                    branch: branch.export_state(),
-                })
-            });
-            out.push(Checkpoint::capture(&emu, warm));
-            next += 1;
-            continue;
-        }
-        assert!(
-            emu.exit_code().is_none(),
-            "checkpoint boundary {} lies beyond the program's halt",
-            boundaries[next]
-        );
-        let target = boundaries[next];
-        let window_floor = if next == 0 { 0 } else { boundaries[next - 1] };
-        if warmup > 0
-            && warm_active.is_none()
-            && executed >= target.saturating_sub(warmup).max(window_floor)
-        {
-            warm_active = Some((
-                MemHierarchy::new(pipeline.hierarchy.clone()),
-                BranchUnit::new(pipeline.predictor.clone()),
-            ));
-        }
-        let info = emu.step()?;
-        if let Some((hierarchy, branch)) = &mut warm_active {
-            warm_step(hierarchy, branch, &info, inst_size);
-        }
-    }
-    Ok(out)
-}
-
 /// Runs the program functionally to its halt (or to `max_instructions`
 /// committed), capturing a warm [`Checkpoint`] every `every`
 /// instructions starting at 0. The sweep doubles as the campaign's
@@ -107,8 +23,7 @@ pub fn checkpoints_at(
 /// under the same budget `Emulator::run` would apply, so no separate
 /// reference emulation is needed.
 ///
-/// Unlike [`checkpoints_at`]'s bounded warm windows, the warm
-/// structures here run continuously from instruction 0 and every
+/// The warm structures run continuously from instruction 0 and every
 /// boundary past 0 snapshots their **full history**: replay-anchored
 /// fault trials compare cycle-exact deltas against a clean replay from
 /// the same state, so the restored caches, TLBs, and predictor must
@@ -346,8 +261,8 @@ fn warm_step(
 }
 
 /// Zeroes the statistics carried inside a warm snapshot, keeping the
-/// tactical state (lines, LRU ticks, counters, stacks). A restored
-/// interval then reports only the accesses it performs itself.
+/// tactical state (lines, LRU ticks, counters, stacks). A restored run
+/// then reports only the accesses it performs itself.
 fn scrubbed(mut warm: WarmState) -> WarmState {
     warm.hierarchy.l1i.stats = CacheStats::default();
     warm.hierarchy.l1d.stats = CacheStats::default();
@@ -370,24 +285,20 @@ mod tests {
                         add t2, a0, t1\n  sd s0, 0(t2)\n  ld t3, 0(t2)\n  addi s0, s0, -1\n  \
                         bnez s0, loop\n  halt\n  .data\nbuf: .space 256\n";
 
-    #[test]
-    fn boundaries_are_even_and_deduplicated() {
-        assert_eq!(boundaries(100, 4), vec![0, 25, 50, 75]);
-        assert_eq!(boundaries(7, 3), vec![0, 2, 4]);
-        assert_eq!(boundaries(2, 8), vec![0, 1]);
-        assert_eq!(boundaries(0, 4), vec![0]);
+    /// Instruction boundaries at 0, 1/k, 2/k, ... of the program's
+    /// dynamic length.
+    fn spread(prog: &Program, k: u64) -> Vec<u64> {
+        let n = Emulator::new(prog).run(u64::MAX).unwrap().instructions;
+        (0..k).map(|i| i * n / k).collect()
     }
 
     #[test]
     fn checkpoints_land_on_their_boundaries() {
         let prog = assemble(PROG).unwrap();
-        let n = Emulator::new(&prog).run(u64::MAX).unwrap().instructions;
-        let bs = boundaries(n, 4);
-        let cks = checkpoints_at(&prog, &bs, 0, &PipelineConfig::starting()).unwrap();
-        assert_eq!(cks.len(), bs.len());
-        for (ck, &b) in cks.iter().zip(&bs) {
+        for b in spread(&prog, 4) {
+            let ck = warm_checkpoint_at(&prog, b, &PipelineConfig::starting()).unwrap();
             assert_eq!(ck.instructions, b);
-            assert!(ck.warm.is_none());
+            assert_eq!(ck.warm.is_none(), b == 0, "only boundary 0 is cold");
         }
     }
 
@@ -395,9 +306,8 @@ mod tests {
     fn restored_checkpoint_continues_bit_identically() {
         let prog = assemble(PROG).unwrap();
         let reference = Emulator::new(&prog).run(u64::MAX).unwrap();
-        let bs = boundaries(reference.instructions, 3);
-        let cks = checkpoints_at(&prog, &bs, 16, &PipelineConfig::starting()).unwrap();
-        for ck in &cks {
+        for b in spread(&prog, 3) {
+            let ck = warm_checkpoint_at(&prog, b, &PipelineConfig::starting()).unwrap();
             let mut emu = ck.restore(&prog);
             let done = emu.run(u64::MAX).unwrap();
             assert_eq!(done.instructions, reference.instructions);
@@ -409,10 +319,12 @@ mod tests {
     #[test]
     fn warmup_attaches_scrubbed_state_to_later_boundaries() {
         let prog = assemble(PROG).unwrap();
-        let n = Emulator::new(&prog).run(u64::MAX).unwrap().instructions;
-        let bs = boundaries(n, 3);
-        let cks = checkpoints_at(&prog, &bs, 32, &PipelineConfig::starting()).unwrap();
-        // Boundary 0 has an empty window; later boundaries carry state.
+        let bs = spread(&prog, 3);
+        let cks: Vec<Checkpoint> = bs
+            .iter()
+            .map(|&b| warm_checkpoint_at(&prog, b, &PipelineConfig::starting()).unwrap())
+            .collect();
+        // Boundary 0 has an empty history; later boundaries carry state.
         assert!(cks[0].warm.is_none());
         for ck in &cks[1..] {
             let warm = ck.warm.as_ref().expect("warm state present");
@@ -430,7 +342,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_matches_checkpoints_at_on_shared_boundaries() {
+    fn stream_lands_on_its_grid_and_resumes_exactly() {
         let prog = assemble(PROG).unwrap();
         let n = Emulator::new(&prog).run(u64::MAX).unwrap().instructions;
         let every = 64;
@@ -440,12 +352,6 @@ mod tests {
         let expected: Vec<u64> = (0..n).step_by(every as usize).collect();
         let got: Vec<u64> = stream.iter().map(|c| c.instructions).collect();
         assert_eq!(got, expected);
-        let batch = checkpoints_at(&prog, &expected, every, &PipelineConfig::starting()).unwrap();
-        for (s, b) in stream.iter().zip(&batch) {
-            assert_eq!(s.instructions, b.instructions);
-            assert_eq!(s.arch_digest(), b.arch_digest());
-            assert_eq!(s.warm.is_some(), b.warm.is_some());
-        }
         // Continuous warm-up carries full history: a restored stream
         // checkpoint finishes the program bit-identically.
         let reference = Emulator::new(&prog).run(u64::MAX).unwrap();
@@ -550,12 +456,5 @@ mod tests {
     fn zero_stream_interval_panics() {
         let prog = assemble("  halt\n").unwrap();
         let _ = checkpoint_stream(&prog, 0, &PipelineConfig::starting(), u64::MAX);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn unordered_boundaries_panic() {
-        let prog = assemble("  halt\n").unwrap();
-        let _ = checkpoints_at(&prog, &[5, 3], 0, &PipelineConfig::starting());
     }
 }

@@ -1,52 +1,54 @@
 //! Checkpoint/replay for the REESE simulator: full simulator state as a
-//! first-class serializable artifact, and a sharded driver that splits
-//! one long simulation across cores.
+//! first-class serializable artifact, and the functional fast-forward
+//! that captures it for checkpoint-anchored fault campaigns.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! - [`Checkpoint`]: a versioned binary snapshot (magic header, CRC-32
 //!   trailer, hand-rolled little-endian layout) of the full functional
 //!   machine state — architectural registers, PC, the touched memory
 //!   pages, printed output, instruction count — plus an optional warm
 //!   section carrying cache, TLB, and branch-predictor state.
-//! - [`checkpoints_at`]: the fast functional fast-forward executor that
-//!   emits checkpoints at instruction boundaries, with optional
-//!   microarchitectural warm-up over the last W instructions before
-//!   each boundary.
-//! - [`run_sharded`]: the sharded driver. One run is split into K
-//!   intervals at checkpoint boundaries; each interval's detailed
-//!   timing (baseline, REESE, or duplex) runs on a worker pool; the
-//!   per-interval statistics are stitched into one [`ShardReport`]
-//!   whose [`ShardOracle`] certifies bit-exact functional results and
-//!   measures the cycle-count error against a monolithic run.
+//! - The fast-forward: [`checkpoint_stream`] (and its bounded-memory
+//!   [`checkpoint_stream_thinned`]) runs the program functionally once,
+//!   capturing a warm checkpoint every K instructions;
+//!   [`derive_checkpoint`] recovers any finer boundary from an earlier
+//!   one; [`warm_checkpoint_at`] captures a single boundary from
+//!   scratch, the oracle the other two must match bit for bit.
 //!
 //! # Example
 //!
 //! ```
-//! use reese_ckpt::{run_sharded, Scheme, ShardOptions};
-//! use reese_core::ReeseConfig;
+//! use reese_ckpt::{checkpoint_stream, Checkpoint, Scheme};
+//! use reese_cpu::Emulator;
+//! use reese_pipeline::PipelineConfig;
 //!
 //! let prog = reese_isa::assemble(
-//!     "  li t0, 200\nloop: addi t0, t0, -1\n  bnez t0, loop\n  halt\n",
+//!     "  li t0, 200\nloop: addi t0, t0, -1\n  print t0\n  bnez t0, loop\n  halt\n",
 //! )?;
-//! let opts = ShardOptions { intervals: 3, jobs: 2, ..ShardOptions::default() };
-//! let report = run_sharded(&prog, &ReeseConfig::starting(), Scheme::Reese, &opts)?;
-//! assert!(report.oracle.exact());
-//! assert_eq!(report.total_instructions, 402);
+//! let reference = Emulator::new(&prog).run(u64::MAX)?;
+//! let (ckpts, len) = checkpoint_stream(&prog, 100, &PipelineConfig::starting(), u64::MAX)?;
+//! assert_eq!(len, reference.instructions);
+//!
+//! // Ship a mid-run checkpoint through the wire format and finish the run.
+//! let bytes = ckpts[3].clone().with_scheme(Scheme::Reese).encode();
+//! let ck = Checkpoint::decode_for(&bytes, Scheme::Reese, prog.isa())?;
+//! let mut resumed = ck.restore(&prog);
+//! let done = resumed.run(u64::MAX)?;
+//! assert_eq!(done.instructions, reference.instructions);
+//! assert_eq!(done.state_digest, reference.state_digest);
+//! assert_eq!(resumed.output(), reference.output);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 mod checkpoint;
 mod fastforward;
 mod scheme;
-mod shard;
 mod wire;
 
 pub use checkpoint::{Checkpoint, CkptError, MAGIC, VERSION};
 pub use fastforward::{
-    boundaries, checkpoint_stream, checkpoint_stream_thinned, checkpoints_at, derive_checkpoint,
-    warm_checkpoint_at,
+    checkpoint_stream, checkpoint_stream_thinned, derive_checkpoint, warm_checkpoint_at,
 };
 pub use scheme::Scheme;
-pub use shard::{run_sharded, IntervalResult, ShardError, ShardOptions, ShardOracle, ShardReport};
 pub use wire::crc32;

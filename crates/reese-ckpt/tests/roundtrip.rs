@@ -7,8 +7,7 @@
 //! a fresh simulator, and the continuation is bit-identical to the
 //! uninterrupted run — for every kernel, at arbitrary boundaries.
 
-use reese_ckpt::{checkpoints_at, run_sharded, Checkpoint, CkptError, Scheme, ShardOptions};
-use reese_core::ReeseConfig;
+use reese_ckpt::{warm_checkpoint_at, Checkpoint, CkptError};
 use reese_cpu::Emulator;
 use reese_pipeline::{PipelineConfig, SchedulerMode};
 use reese_stats::SplitMix64;
@@ -30,17 +29,12 @@ fn every_kernel_round_trips_through_a_mid_run_snapshot() {
         // Three random interior boundaries per kernel.
         for _ in 0..3 {
             let boundary = rng.range_u64(1, n);
-            let cks = checkpoints_at(&prog, &[boundary], 64, &PipelineConfig::starting())
+            let ck = warm_checkpoint_at(&prog, boundary, &PipelineConfig::starting())
                 .unwrap_or_else(|e| panic!("{}: fast-forward failed: {e}", kernel.name()));
-            let bytes = cks[0].encode();
+            let bytes = ck.encode();
             let decoded = Checkpoint::decode(&bytes)
                 .unwrap_or_else(|e| panic!("{}: decode failed: {e}", kernel.name()));
-            assert_eq!(
-                decoded,
-                cks[0],
-                "{}: serialization round trip",
-                kernel.name()
-            );
+            assert_eq!(decoded, ck, "{}: serialization round trip", kernel.name());
             assert_eq!(decoded.instructions, boundary);
 
             let mut resumed = decoded.restore(&prog);
@@ -63,14 +57,13 @@ fn every_kernel_round_trips_through_a_mid_run_snapshot() {
 }
 
 #[test]
-fn arena_backed_warmup_snapshots_match_the_scan_oracle_on_every_kernel() {
-    // `checkpoints_at` warms the pipeline while fast-forwarding, so its
-    // frames are produced *through* the scheduler's instruction store:
-    // the SoA `InstArena` under `EventDriven`, the original AoS deque
-    // under `Scan`. A checkpoint is a function of architectural state
-    // only — both layouts must emit byte-identical version-2 frames,
-    // and a restore from the arena-produced frame must finish the run
-    // bit-identically.
+fn warm_snapshots_do_not_depend_on_the_scheduler_mode_on_every_kernel() {
+    // The fast-forward warms caches and predictor from the pipeline
+    // config, which also names the scheduler: the SoA `InstArena` under
+    // `EventDriven`, the original AoS deque under `Scan`. A checkpoint
+    // is a function of architectural and warm state only — both configs
+    // must emit byte-identical current-version frames, and a restore
+    // from the event-config frame must finish the run bit-identically.
     let mut rng = SplitMix64::new(0xA2E7A);
     for kernel in Kernel::ALL {
         let prog = kernel.build_for(KERNEL_INSTRUCTIONS);
@@ -79,12 +72,12 @@ fn arena_backed_warmup_snapshots_match_the_scan_oracle_on_every_kernel() {
 
         let event_cfg = PipelineConfig::starting().with_scheduler(SchedulerMode::EventDriven);
         let scan_cfg = PipelineConfig::starting().with_scheduler(SchedulerMode::Scan);
-        let from_arena = checkpoints_at(&prog, &[boundary], 256, &event_cfg).unwrap();
-        let from_scan = checkpoints_at(&prog, &[boundary], 256, &scan_cfg).unwrap();
-        let bytes = from_arena[0].encode();
+        let from_event = warm_checkpoint_at(&prog, boundary, &event_cfg).unwrap();
+        let from_scan = warm_checkpoint_at(&prog, boundary, &scan_cfg).unwrap();
+        let bytes = from_event.encode();
         assert_eq!(
             bytes,
-            from_scan[0].encode(),
+            from_scan.encode(),
             "{}: frame must not depend on the scheduler's window layout",
             kernel.name()
         );
@@ -96,13 +89,13 @@ fn arena_backed_warmup_snapshots_match_the_scan_oracle_on_every_kernel() {
         );
 
         let decoded = Checkpoint::decode(&bytes).unwrap();
-        assert_eq!(decoded, from_arena[0], "{}: round trip", kernel.name());
+        assert_eq!(decoded, from_event, "{}: round trip", kernel.name());
         let mut resumed = decoded.restore(&prog);
         let done = resumed.run(u64::MAX).unwrap();
         assert_eq!(
             (done.instructions, done.state_digest),
             (reference.instructions, reference.state_digest),
-            "{}: arena-produced frame resumes bit-identically",
+            "{}: event-config frame resumes bit-identically",
             kernel.name()
         );
         assert_eq!(resumed.output(), reference.output, "{}", kernel.name());
@@ -112,14 +105,9 @@ fn arena_backed_warmup_snapshots_match_the_scan_oracle_on_every_kernel() {
 #[test]
 fn seeded_corruption_is_always_detected() {
     let prog = Kernel::Lisp.build_for(KERNEL_INSTRUCTIONS);
-    let cks = checkpoints_at(
-        &prog,
-        &[KERNEL_INSTRUCTIONS / 2],
-        64,
-        &PipelineConfig::starting(),
-    )
-    .unwrap();
-    let good = cks[0].encode();
+    let ck =
+        warm_checkpoint_at(&prog, KERNEL_INSTRUCTIONS / 2, &PipelineConfig::starting()).unwrap();
+    let good = ck.encode();
     assert!(Checkpoint::decode(&good).is_ok());
 
     let mut rng = SplitMix64::new(0xBAD_CAFE);
@@ -147,31 +135,12 @@ fn seeded_corruption_is_always_detected() {
 #[test]
 fn seeded_truncation_never_panics() {
     let prog = Kernel::Strings.build_for(KERNEL_INSTRUCTIONS);
-    let cks = checkpoints_at(
-        &prog,
-        &[KERNEL_INSTRUCTIONS / 3],
-        0,
-        &PipelineConfig::starting(),
-    )
-    .unwrap();
-    let good = cks[0].encode();
+    let ck =
+        warm_checkpoint_at(&prog, KERNEL_INSTRUCTIONS / 3, &PipelineConfig::starting()).unwrap();
+    let good = ck.encode();
     let mut rng = SplitMix64::new(0x73_15C47E);
     for _ in 0..100 {
         let cut = rng.index(good.len());
         assert!(Checkpoint::decode(&good[..cut]).is_err());
     }
-}
-
-#[test]
-fn sharded_reese_run_is_exact_on_a_kernel() {
-    let prog = Kernel::Compiler.build_for(KERNEL_INSTRUCTIONS);
-    let opts = ShardOptions {
-        intervals: 4,
-        jobs: 2,
-        warmup: 500,
-        ..ShardOptions::default()
-    };
-    let report = run_sharded(&prog, &ReeseConfig::starting(), Scheme::Reese, &opts).unwrap();
-    assert!(report.oracle.exact(), "{:?}", report.oracle);
-    assert!(report.oracle.cycle_error.unwrap().abs() < 0.25);
 }

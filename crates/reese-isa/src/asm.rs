@@ -19,6 +19,7 @@
 //! bgez ble bgt j jr call ret halt print`.
 
 use crate::{BuildError, Opcode, Program, ProgramBuilder, Reg};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Error produced by [`assemble`], with a 1-based source position.
@@ -106,6 +107,10 @@ pub(crate) fn strip_comment(line: &str) -> &str {
     line
 }
 
+/// The line and column of each label's first reference, so a label
+/// that is never bound is reported where it was first used.
+type LabelUses = HashMap<String, (usize, usize)>;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Segment {
     Text,
@@ -134,6 +139,7 @@ enum Segment {
 /// ```
 pub fn assemble(source: &str) -> Result<Program, AsmError> {
     let mut b = ProgramBuilder::new();
+    let mut uses = LabelUses::new();
     let mut segment = Segment::Text;
 
     for (lineno, raw) in source.lines().enumerate() {
@@ -177,7 +183,7 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
         }
 
         if let Some(directive) = code.strip_prefix('.') {
-            parse_directive(&mut b, &mut segment, directive, raw, line)?;
+            parse_directive(&mut b, &mut uses, &mut segment, directive, raw, line)?;
             continue;
         }
 
@@ -188,10 +194,16 @@ pub fn assemble(source: &str) -> Result<Program, AsmError> {
                 "instructions are not allowed in .data".to_string(),
             ));
         }
-        parse_instruction(&mut b, code, raw, line)?;
+        parse_instruction(&mut b, &mut uses, code, raw, line)?;
     }
 
-    b.build().map_err(AsmError::from)
+    b.build().map_err(|e| match &e {
+        BuildError::UnboundLabel(name) => {
+            let (line, col) = uses.get(name).copied().unwrap_or_default();
+            AsmError::at(line, col, e.to_string())
+        }
+        _ => AsmError::from(e),
+    })
 }
 
 pub(crate) fn is_ident(s: &str) -> bool {
@@ -219,6 +231,7 @@ pub(crate) fn parse_int(s: &str) -> Option<i64> {
 
 fn parse_directive(
     b: &mut ProgramBuilder,
+    uses: &mut LabelUses,
     segment: &mut Segment,
     directive: &str,
     raw: &str,
@@ -239,7 +252,11 @@ fn parse_directive(
     // `.word`/`.dword` accept labels alongside integers; label slots
     // are patched with the final address at build time, so forward
     // references inside data are safe.
-    let words = |b: &mut ProgramBuilder, args: &str, wide: bool| -> Result<(), AsmError> {
+    let words = |b: &mut ProgramBuilder,
+                 uses: &mut LabelUses,
+                 args: &str,
+                 wide: bool|
+     -> Result<(), AsmError> {
         for a in args.split(',') {
             let a = a.trim();
             if let Some(v) = parse_int(a) {
@@ -249,7 +266,7 @@ fn parse_directive(
                     b.word(v as u32);
                 }
             } else if is_ident(a) {
-                let l = b.label(a);
+                let l = label_ref(b, uses, a, raw, line)?;
                 if wide {
                     b.dword_label(l);
                 } else {
@@ -269,7 +286,7 @@ fn parse_directive(
             if !is_ident(args) {
                 return Err(err(args, format!("bad entry label `{args}`")));
             }
-            let l = b.label(args);
+            let l = label_ref(b, uses, args, raw, line)?;
             b.entry(l);
         }
         "byte" => {
@@ -282,8 +299,8 @@ fn parse_directive(
                 b.bytes(&(v as u16).to_le_bytes());
             }
         }
-        "word" => words(b, args, false)?,
-        "dword" => words(b, args, true)?,
+        "word" => words(b, uses, args, false)?,
+        "dword" => words(b, uses, args, true)?,
         "space" => {
             let n = parse_int(args).ok_or_else(|| err(args, format!("bad size `{args}`")))?;
             if n < 0 {
@@ -353,6 +370,7 @@ pub(crate) fn parse_mem_operand(s: &str) -> Option<(i64, Reg)> {
 
 fn parse_instruction(
     b: &mut ProgramBuilder,
+    uses: &mut LabelUses,
     code: &str,
     raw: &str,
     line: usize,
@@ -425,10 +443,7 @@ fn parse_instruction(
         "la" => {
             nops(2)?;
             let rd = reg(ops[0])?;
-            if !is_ident(ops[1]) {
-                return Err(err(ops[1], format!("bad label `{}`", ops[1])));
-            }
-            let l = b.label(ops[1]);
+            let l = label_ref(b, uses, ops[1], raw, line)?;
             b.la(rd, l);
             return Ok(());
         }
@@ -464,7 +479,7 @@ fn parse_instruction(
         }
         "j" => {
             nops(1)?;
-            let l = label_ref(b, ops[0], raw, line)?;
+            let l = label_ref(b, uses, ops[0], raw, line)?;
             b.j(l);
             return Ok(());
         }
@@ -476,7 +491,7 @@ fn parse_instruction(
         }
         "call" => {
             nops(1)?;
-            let l = label_ref(b, ops[0], raw, line)?;
+            let l = label_ref(b, uses, ops[0], raw, line)?;
             b.call(l);
             return Ok(());
         }
@@ -488,7 +503,7 @@ fn parse_instruction(
         "beqz" | "bnez" | "bltz" | "bgez" => {
             nops(2)?;
             let rs = reg(ops[0])?;
-            let l = label_ref(b, ops[1], raw, line)?;
+            let l = label_ref(b, uses, ops[1], raw, line)?;
             match mnemonic {
                 "beqz" => b.beqz(rs, l),
                 "bnez" => b.bnez(rs, l),
@@ -500,7 +515,7 @@ fn parse_instruction(
         "ble" | "bgt" => {
             nops(3)?;
             let (r1, r2) = (reg(ops[0])?, reg(ops[1])?);
-            let l = label_ref(b, ops[2], raw, line)?;
+            let l = label_ref(b, uses, ops[2], raw, line)?;
             if mnemonic == "ble" {
                 b.ble(r1, r2, l);
             } else {
@@ -536,7 +551,7 @@ fn parse_instruction(
             if let Some(off) = parse_int(ops[2]) {
                 b.emit(Instr::branch(op, r1, r2, off));
             } else {
-                let l = label_ref(b, ops[2], raw, line)?;
+                let l = label_ref(b, uses, ops[2], raw, line)?;
                 match op {
                     Opcode::Beq => b.beq(r1, r2, l),
                     Opcode::Bne => b.bne(r1, r2, l),
@@ -555,7 +570,7 @@ fn parse_instruction(
                 if let Some(off) = parse_int(ops[1]) {
                     b.emit(Instr::rri(Opcode::Jal, rd, Reg::ZERO, off));
                 } else {
-                    let l = label_ref(b, ops[1], raw, line)?;
+                    let l = label_ref(b, uses, ops[1], raw, line)?;
                     b.jal(rd, l);
                 }
             }
@@ -622,13 +637,17 @@ fn parse_instruction(
     Ok(())
 }
 
+/// Declares a reference to label `s`, recording where it was first
+/// used.
 fn label_ref(
     b: &mut ProgramBuilder,
+    uses: &mut LabelUses,
     s: &str,
     raw: &str,
     line: usize,
 ) -> Result<crate::Label, AsmError> {
     if is_ident(s) {
+        uses.entry(s.to_string()).or_insert((line, col_in(raw, s)));
         Ok(b.label(s))
     } else {
         Err(AsmError::at(
@@ -739,6 +758,22 @@ mod tests {
 
         let e = assemble("  j nowhere\n").unwrap_err();
         assert!(e.message.contains("never bound"));
+    }
+
+    #[test]
+    fn unbound_labels_point_at_their_first_use() {
+        let e = assemble("  j nowhere\n").unwrap_err();
+        assert_eq!(e.to_string(), "line 1:5: label `nowhere` was never bound");
+        // A later use does not move the reported position.
+        let e = assemble("  nop\n  beqz t0, gone\n  j gone\n").unwrap_err();
+        assert_eq!((e.line, e.col), (2, 12));
+        // Data words, `la` and `.entry` references are tracked the same way.
+        let e = assemble("  halt\n  .data\nptr: .dword 1, lost\n").unwrap_err();
+        assert_eq!((e.line, e.col), (3, 16));
+        let e = assemble("  la a0, lost\n  halt\n").unwrap_err();
+        assert_eq!((e.line, e.col), (1, 10));
+        let e = assemble("  .entry start\n  halt\n").unwrap_err();
+        assert_eq!((e.line, e.col), (1, 10));
     }
 
     #[test]

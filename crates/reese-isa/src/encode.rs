@@ -24,6 +24,9 @@ pub enum DecodeError {
     BadOpcode(u8),
     /// A register field is out of the 64-entry architectural space.
     BadRegister(u8),
+    /// A flat text image of this many bytes, which is not a whole
+    /// number of instructions.
+    Truncated(usize),
 }
 
 impl fmt::Display for DecodeError {
@@ -31,6 +34,9 @@ impl fmt::Display for DecodeError {
         match self {
             DecodeError::BadOpcode(b) => write!(f, "unknown opcode byte {b:#04x}"),
             DecodeError::BadRegister(r) => write!(f, "register index {r} out of range"),
+            DecodeError::Truncated(len) => {
+                write!(f, "text image of {len} bytes ends mid-instruction")
+            }
         }
     }
 }
@@ -120,13 +126,12 @@ pub fn encode_text(text: &[Instr]) -> Result<Vec<u8>, (usize, EncodeError)> {
 /// # Errors
 ///
 /// Returns the word index of the first malformed instruction. Trailing
-/// bytes that do not fill a word are an error at index `len / 8`.
+/// bytes that do not fill a word are a [`DecodeError::Truncated`] at
+/// index `len / 8`.
 pub fn decode_text(bytes: &[u8]) -> Result<Vec<Instr>, (usize, DecodeError)> {
     if !bytes.len().is_multiple_of(Instr::SIZE as usize) {
-        return Err((
-            bytes.len() / Instr::SIZE as usize,
-            DecodeError::BadOpcode(0),
-        ));
+        let len = bytes.len();
+        return Err((len / Instr::SIZE as usize, DecodeError::Truncated(len)));
     }
     bytes
         .chunks_exact(Instr::SIZE as usize)
@@ -220,7 +225,10 @@ mod tests {
 
     #[test]
     fn ragged_text_rejected() {
-        assert!(decode_text(&[1, 2, 3]).is_err());
+        assert_eq!(decode_text(&[1, 2, 3]), Err((0, DecodeError::Truncated(3))));
+        let mut bytes = encode_text(&[Instr::nop(), Instr::nop()]).unwrap();
+        bytes.push(0);
+        assert_eq!(decode_text(&bytes), Err((2, DecodeError::Truncated(17))));
     }
 
     #[test]
@@ -242,6 +250,7 @@ mod tests {
     #[test]
     fn error_display_nonempty() {
         assert!(!DecodeError::BadOpcode(3).to_string().is_empty());
+        assert!(DecodeError::Truncated(9).to_string().contains("9 bytes"));
         assert!(!EncodeError { imm: 1 << 40 }.to_string().is_empty());
     }
 }

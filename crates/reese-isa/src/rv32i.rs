@@ -314,10 +314,12 @@ pub fn encode_word(instr: &Instr) -> Result<u32, EncodeError> {
 /// # Errors
 ///
 /// Returns the word index of the first malformed instruction. Trailing
-/// bytes that do not fill a word are an error at index `len / 4`.
+/// bytes that do not fill a word are a [`DecodeError::Truncated`] at
+/// index `len / 4`.
 pub fn decode_text(bytes: &[u8]) -> Result<Vec<Instr>, (usize, DecodeError)> {
     if !bytes.len().is_multiple_of(INST_SIZE as usize) {
-        return Err((bytes.len() / INST_SIZE as usize, DecodeError::BadOpcode(0)));
+        let len = bytes.len();
+        return Err((len / INST_SIZE as usize, DecodeError::Truncated(len)));
     }
     bytes
         .chunks_exact(INST_SIZE as usize)
@@ -1115,7 +1117,9 @@ mod tests {
         let bytes = encode_text(&prog).unwrap();
         assert_eq!(bytes.len(), prog.len() * 4);
         assert_eq!(decode_text(&bytes).unwrap(), prog);
-        assert!(decode_text(&[1, 2, 3]).is_err());
+        assert_eq!(decode_text(&[1, 2, 3]), Err((0, DecodeError::Truncated(3))));
+        let ragged = [&bytes[..], &[0x13, 0]].concat();
+        assert_eq!(decode_text(&ragged), Err((4, DecodeError::Truncated(18))));
     }
 
     #[test]

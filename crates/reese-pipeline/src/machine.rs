@@ -18,7 +18,7 @@ use reese_mem::MemHierarchy;
 use reese_trace::{CycleState, NoopObserver, Observer, Stage, Stream, TraceEvent};
 use std::collections::VecDeque;
 
-/// Warm microarchitectural state to seed an interval run with: the
+/// Warm microarchitectural state to seed a restored run with: the
 /// cache/TLB hierarchy and the branch unit as some earlier execution
 /// left them. Produced by a checkpointing fast-forward pass and
 /// consumed by [`Start::Restored`]; both sides must use the same
@@ -107,9 +107,8 @@ impl<'a, F: Default> RunSpec<'a, NoopObserver, F> {
     }
 
     /// Resumes from a checkpoint-restored emulator, optionally with
-    /// warm caches and predictors. Statistics cover this interval only,
-    /// so a sharded driver can stitch intervals with
-    /// [`PipelineStats::merge`].
+    /// warm caches and predictors. Statistics cover the resumed run
+    /// only, which is how replay campaigns time a fault window.
     pub fn restored(emulator: Emulator, warm: Option<&'a WarmState>) -> Self {
         let emulator = Box::new(emulator);
         RunSpec::from(Start::Restored { emulator, warm })

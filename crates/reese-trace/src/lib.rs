@@ -18,7 +18,7 @@
 //!   occupancies, per-FU-class busy cycles, R-stream issue
 //!   opportunities taken vs. missed, stall causes, and scheduler
 //!   bookkeeping cost; exportable to CSV/JSON and mergeable across
-//!   shard intervals ([`MetricsSeries::merge_concat`]) or campaign
+//!   back-to-back runs ([`MetricsSeries::merge_concat`]) or campaign
 //!   trials ([`MetricsSeries::merge_pooled`]).
 //! * [`Tracer`] — the concrete [`Observer`] wiring both together.
 //!
@@ -453,19 +453,15 @@ impl TraceRing {
         self.dropped
     }
 
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Iterates retained events, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter()
     }
 
     /// Appends another ring's events with their cycles shifted by
-    /// `cycle_offset` — the stitch rule for sharded intervals, whose
-    /// local clocks all start at zero.
+    /// `cycle_offset` — the stitch rule for runs laid end to end, such
+    /// as the per-kernel reference runs `reese schemes --trace-out`
+    /// traces, whose local clocks all start at zero.
     pub fn merge_concat(&mut self, other: &TraceRing, cycle_offset: u64) {
         self.dropped += other.dropped;
         for ev in &other.events {
@@ -672,8 +668,9 @@ impl MetricsSeries {
     }
 
     /// Appends another series' rows with cycles shifted by
-    /// `cycle_offset` — the stitch rule for `reese shard` intervals,
-    /// whose local clocks all start at zero.
+    /// `cycle_offset` — the stitch rule for runs laid end to end, such
+    /// as the per-kernel reference runs `reese schemes --metrics-out`
+    /// samples, whose local clocks all start at zero.
     pub fn merge_concat(&mut self, other: &MetricsSeries, cycle_offset: u64) {
         if self.interval == 1 && self.rows.is_empty() {
             self.interval = other.interval;

@@ -18,7 +18,7 @@
 //! * [`workloads`] — SPEC95-integer-like synthetic kernels
 //! * [`stats`] — counters, histograms, tables, and the deterministic PRNG
 //! * [`trace`] — zero-cost-when-disabled pipetrace and sampled-metrics observability
-//! * [`ckpt`] — binary simulator checkpoints and sharded single-run simulation
+//! * [`ckpt`] — binary simulator checkpoints and the functional fast-forward that captures them
 //!
 //! # Quickstart
 //!
@@ -51,7 +51,7 @@ pub use reese_workloads as workloads;
 
 /// The most commonly used items, for glob import.
 pub mod prelude {
-    pub use reese_ckpt::{run_sharded, Checkpoint, Scheme, ShardOptions};
+    pub use reese_ckpt::{Checkpoint, Scheme};
     pub use reese_core::{ReeseConfig, ReeseSim};
     pub use reese_cpu::Emulator;
     pub use reese_isa::{abi, assemble, Program, ProgramBuilder};

@@ -4,7 +4,7 @@
 //! parser reads it to accept and check arguments, and
 //! `reese <command> --help` prints its usage from the same rows.
 
-use reese::ckpt::{self, Scheme, ShardOptions};
+use reese::ckpt::Scheme;
 use reese::core::{
     DetectionEvent, DuplexFaults, DuplexSim, InjectedFault, ReeseConfig, ReeseFaults, ReeseSim,
 };
@@ -25,6 +25,9 @@ fn main() -> ExitCode {
         if name == "--help" {
             print!("{}", overview());
             return ExitCode::SUCCESS;
+        }
+        if !name.is_empty() {
+            eprintln!("error: unknown command `{name}`\n");
         }
         eprint!("{}", overview());
         return ExitCode::FAILURE;
@@ -52,14 +55,13 @@ const RUN: Cmd = 1;
 const CAMPAIGN: Cmd = 1 << 1;
 const SCHEMES: Cmd = 1 << 2;
 const EXPLAIN: Cmd = 1 << 3;
-const SHARD: Cmd = 1 << 4;
-const ASM: Cmd = 1 << 5;
-const MIX: Cmd = 1 << 6;
-const DISASM: Cmd = 1 << 7;
-const TRACE: Cmd = 1 << 8;
-const KERNELS: Cmd = 1 << 9;
+const ASM: Cmd = 1 << 4;
+const MIX: Cmd = 1 << 5;
+const DISASM: Cmd = 1 << 6;
+const TRACE: Cmd = 1 << 7;
+const KERNELS: Cmd = 1 << 8;
 /// The commands that simulate one program on a configurable machine.
-const SIM: Cmd = RUN | CAMPAIGN | EXPLAIN | SHARD;
+const SIM: Cmd = RUN | CAMPAIGN | EXPLAIN;
 
 /// One subcommand: its name, its positional argument (empty when it
 /// takes none), a summary for `--help`, and its entry point.
@@ -72,7 +74,7 @@ struct Command {
 }
 
 #[rustfmt::skip]
-const COMMANDS: [Command; 10] = [
+const COMMANDS: [Command; 9] = [
     Command { cmd: RUN, name: "run", arg: "[file.s|file.bin]", exec: cmd_run,
         about: "simulate a program file or --kernel on one machine model\n\
                 (--scheme defaults to baseline; `emulate` runs the functional core alone)" },
@@ -83,9 +85,6 @@ const COMMANDS: [Command; 10] = [
     Command { cmd: EXPLAIN, name: "explain", arg: "[file.s|file.bin]", exec: cmd_explain,
         about: "forensically replay one logged campaign trial\n\
                 (repeat the campaign's workload, scheme and machine flags; default --kernel lisp, --scheme reese)" },
-    Command { cmd: SHARD, name: "shard", arg: "[file.s|file.bin]", exec: cmd_shard,
-        about: "shard one run across checkpoint intervals, checked against the monolithic run\n\
-                (default --kernel lisp, --scheme reese; schemes with an interval timing machine only)" },
     Command { cmd: ASM, name: "asm", arg: "<file.s>", exec: cmd_asm,
         about: "assemble a program to a flat binary (needs -o)" },
     Command { cmd: MIX, name: "mix", arg: "<file|kernel>", exec: cmd_mix,
@@ -124,7 +123,7 @@ const fn flag(names: &'static [&'static str], arg: &'static str, cmds: Cmd, help
 /// The commands that take machine-geometry flags.
 const MACHINE: Cmd = SIM | SCHEMES;
 /// The commands that can write a metrics series.
-const METRICS: Cmd = RUN | CAMPAIGN | SCHEMES | SHARD;
+const METRICS: Cmd = RUN | CAMPAIGN | SCHEMES;
 /// The commands with REESE spare units.
 const SPARES: Cmd = RUN | CAMPAIGN | EXPLAIN;
 /// The commands that run fault campaigns.
@@ -154,7 +153,7 @@ const FLAGS: &[Flag] = &[
     flag(&["--injections"], "N", CAMPAIGN, "alias for --trials", |o, f, v| { o.eval.trials = positive(f, v)?; Ok(()) }),
     flag(&["--seed"], "S", FAULTS, "campaign PRNG seed (default 1024023)", |o, f, v| { o.eval.seed = number(f, v)?; Ok(()) }),
     flag(&["--mix"], "NAME", FAULTS, "fault-class mix, broad|result (default broad; schemes: result)", |o, _, v| { o.mix = parse_mix(v)?; Ok(()) }),
-    flag(&["-j", "--jobs"], "N", FAULTS | SHARD, "worker threads (default all cores; schemes: 1)", |o, f, v| { o.eval.jobs = positive(f, v)?; o.shard.jobs = o.eval.jobs; Ok(()) }),
+    flag(&["-j", "--jobs"], "N", FAULTS, "worker threads (default all cores; schemes: 1)", |o, f, v| { o.eval.jobs = positive(f, v)?; Ok(()) }),
     flag(&["--engine"], "NAME", FAULTS, "trial engine, replay|full (full is the oracle)", |o, _, v| { o.eval.engine = v.parse()?; Ok(()) }),
     flag(&["--ckpt-every"], "K", CAMPAIGN, "checkpoint interval in instructions (default 2048)", |o, f, v| { o.ckpt_every = positive(f, v)?; Ok(()) }),
     flag(&["--outcomes-jsonl"], "FILE", CAMPAIGN, "stream per-trial outcomes to a campaign log", |o, f, v| { o.outcomes_jsonl = Some(path(f, v)?); Ok(()) }),
@@ -163,11 +162,7 @@ const FLAGS: &[Flag] = &[
     flag(&["--outcomes"], "FILE", EXPLAIN, "the campaign log to read [required]", |o, f, v| { o.outcomes = Some(path(f, v)?); Ok(()) }),
     flag(&["--trial"], "N", EXPLAIN, "address the trial by its index in the log", |o, f, v| { o.which = Some(TrialRef::Index(number(f, v)?)); Ok(()) }),
     flag(&["--id"], "N", EXPLAIN, "address the trial by stable id (decimal or 0xHEX)", |o, f, v| { o.which = Some(TrialRef::Id(trial_id(f, v)?)); Ok(()) }),
-    flag(&["--intervals"], "K", SHARD, "number of checkpoint intervals (default 4)", |o, f, v| { o.shard.intervals = positive(f, v)?; Ok(()) }),
-    flag(&["--warmup"], "W", SHARD, "warm caches and predictor over W instructions before each interval", |o, f, v| { o.shard.warmup = number(f, v)?; Ok(()) }),
-    flag(&["--no-verify"], "", SHARD, "skip the monolithic oracle run", |o, _, _| { o.shard.compare_monolithic = false; Ok(()) }),
-    flag(&["--snapshot"], "FILE", SHARD, "write the first mid-run checkpoint to FILE", |o, f, v| { o.snapshot = Some(path(f, v)?); Ok(()) }),
-    flag(&["--out"], "FILE", CAMPAIGN | EXPLAIN | SHARD | ASM | TRACE, "write the report, timeline, binary or trace to FILE", |o, f, v| { o.out = Some(path(f, v)?); Ok(()) }),
+    flag(&["--out"], "FILE", CAMPAIGN | EXPLAIN | ASM | TRACE, "write the report, timeline, binary or trace to FILE", |o, f, v| { o.out = Some(path(f, v)?); Ok(()) }),
     flag(&["-o"], "FILE", ASM, "alias for --out", |o, f, v| { o.out = Some(path(f, v)?); Ok(()) }),
     flag(&["--csv"], "FILE", SCHEMES, "write the per-cell table as CSV", |o, f, v| { o.csv = Some(path(f, v)?); Ok(()) }),
     flag(&["--json"], "FILE", SCHEMES, "write rows and ranking as JSON", |o, f, v| { o.json = Some(path(f, v)?); Ok(()) }),
@@ -232,14 +227,12 @@ struct Opts {
     /// Trials, seed, jobs, engine, instruction budget and telemetry
     /// journal, shared by `run`, `campaign` and `schemes`.
     eval: EvalOptions,
-    shard: ShardOptions,
     ckpt_every: u64,
     outcomes_jsonl: Option<String>,
     resume: Option<String>,
     trial_limit: Option<usize>,
     outcomes: Option<String>,
     which: Option<TrialRef>,
-    snapshot: Option<String>,
     out: Option<String>,
     csv: Option<String>,
     json: Option<String>,
@@ -269,7 +262,7 @@ impl Opts {
             RUN => o.scheme = "baseline",
             CAMPAIGN => {
                 o.eval.trials = 200;
-                o.eval.jobs = o.shard.jobs; // available parallelism
+                o.eval.jobs = reese::stats::available_jobs();
             }
             SCHEMES => o.mix = FaultMix::result_errors_only(),
             _ => {}
@@ -380,10 +373,6 @@ fn resolve_programs(o: &mut Opts) -> Result<(), CliError> {
                 o.which
                     .ok_or("address the trial with --trial <index> or --id <stable id>")?;
             }
-            // Sharded intervals run observed only when asked to.
-            if cmd == SHARD && (o.trace_out.is_some() || o.metrics_out.is_some()) {
-                o.shard.metrics_interval = o.metrics_interval;
-            }
             o.program = Some(match (&o.input, o.kernels.last()) {
                 (Some(_), Some(_)) => return Err("give a file or --kernel, not both".into()),
                 (Some(path), None) => load_file(o.isa, path)?,
@@ -482,10 +471,11 @@ fn build_kernel(isa: IsaId, name: &str, scale: u32) -> Result<(&'static str, Pro
 fn load_file(isa: IsaId, path: &str) -> Result<Program, CliError> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     if path.ends_with(".bin") {
-        return isa
-            .frontend()
-            .load_flat(&bytes)
-            .map_err(|(off, e)| format!("{path}: byte offset {off}: {e}").into());
+        // The loader reports an instruction index; print it in bytes.
+        return isa.frontend().load_flat(&bytes).map_err(|(index, e)| {
+            let offset = index as u64 * isa.inst_size();
+            format!("{path}: byte offset {offset}: {e}").into()
+        });
     }
     let source = String::from_utf8(bytes).map_err(|_| {
         format!("{path} is not UTF-8 assembler source (flat binaries need a `.bin` extension)")
@@ -516,24 +506,13 @@ fn resolve<'a>(what: &str, input: &str, names: &[&'a str]) -> Result<&'a str, Cl
 
 /// Resolves a `--scheme` name for `cmd` against the detection-scheme
 /// registry. `run` also takes the functional emulator (it has no timing
-/// model and so is not a [`Scheme`]); `shard` takes only the schemes
-/// with an interval timing machine.
+/// model and so is not a [`Scheme`]).
 fn parse_scheme(cmd: Cmd, input: &str) -> Result<&'static str, CliError> {
     let mut names = Scheme::ALL.map(Scheme::name).to_vec();
     if cmd == RUN {
         names.insert(0, "emulate");
     }
-    let name = resolve("scheme", input, &names)?;
-    let shardable = Scheme::ALL.into_iter().filter(|s| s.shardable());
-    let shardable: Vec<&str> = shardable.map(Scheme::name).collect();
-    if cmd == SHARD && !shardable.contains(&name) {
-        let list = shardable.join("|");
-        return Err(format!(
-            "scheme `{name}` has no interval timing machine; shardable schemes: {list}"
-        )
-        .into());
-    }
-    Ok(name)
+    resolve("scheme", input, &names)
 }
 
 /// Parses an instruction-set name from the ISA registry, accepting
@@ -587,8 +566,8 @@ fn number<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, CliError> {
 ///
 /// Zero is rejected here, at parse time, because it would otherwise
 /// degrade silently far from the command line: `-j 0` quietly runs on
-/// one worker, `--metrics-interval 0` makes the tracer sample every
-/// cycle, and `--intervals 0` collapses a sharded run to one interval.
+/// one worker, and `--metrics-interval 0` makes the tracer sample every
+/// cycle.
 fn positive<T: TryFrom<u64>>(flag: &str, raw: &str) -> Result<T, CliError> {
     let v: u64 = raw
         .parse()
@@ -965,140 +944,6 @@ fn cmd_explain(o: Opts) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_shard(o: Opts) -> Result<(), CliError> {
-    let config = ReeseConfig::over(o.base.clone());
-    let scheme = o.detection_scheme();
-    let report = ckpt::run_sharded(o.program(), &config, scheme, &o.shard)?;
-
-    println!(
-        "sharded {} run: {} instructions over {} intervals on {} jobs (warmup {})",
-        report.scheme.name(),
-        report.total_instructions,
-        report.intervals.len(),
-        o.shard.jobs,
-        o.shard.warmup
-    );
-    for (i, iv) in report.intervals.iter().enumerate() {
-        println!(
-            "  interval {i}: start {:>10}, {:>9} instructions, {:>9} cycles{}",
-            iv.start,
-            iv.instructions,
-            iv.cycles,
-            if iv.warmed { ", warmed" } else { "" }
-        );
-    }
-    println!(
-        "stitched: {} cycles — IPC {:.3}; {} checkpoint bytes shipped, pool utilisation {:.0}%",
-        report.sharded_cycles,
-        report.ipc(),
-        report.checkpoint_bytes,
-        report.parallel.utilisation() * 100.0
-    );
-    let oracle = &report.oracle;
-    let tick = |ok| if ok { "exact" } else { "MISMATCH" };
-    println!(
-        "oracle: instructions {}, final state {}, output {}",
-        tick(oracle.instructions_match),
-        tick(oracle.digest_match),
-        tick(oracle.output_match)
-    );
-    if let (Some(mono), Some(err)) = (oracle.monolithic_cycles, oracle.cycle_error) {
-        println!(
-            "cycle accuracy: sharded {} vs monolithic {mono} — error {:+.3}%",
-            report.sharded_cycles,
-            err * 100.0
-        );
-    }
-
-    if let Some(path) = &o.snapshot {
-        // The first mid-run checkpoint (interval 1's start), regenerated
-        // from the same deterministic fast-forward pass.
-        let bounds = ckpt::boundaries(report.total_instructions, o.shard.intervals);
-        let which = usize::from(bounds.len() > 1);
-        let cks = ckpt::checkpoints_at(
-            o.program(),
-            &bounds[which..=which],
-            o.shard.warmup,
-            &config.pipeline,
-        )?;
-        // Stamp the scheme so a later restore under a different machine
-        // is rejected at decode time instead of silently mis-timed.
-        let ck = cks
-            .into_iter()
-            .next()
-            .expect("one boundary requested")
-            .with_scheme(scheme);
-        std::fs::write(path, ck.encode())?;
-        println!(
-            "checkpoint at instruction {} written to {path}",
-            ck.instructions
-        );
-    }
-    if let Some(path) = &o.trace_out {
-        let Some(ring) = &report.trace else {
-            return Err("sharded run produced no trace".into());
-        };
-        write_trace(path, ring)?;
-    }
-    if let Some(path) = &o.metrics_out {
-        let Some(metrics) = &report.metrics else {
-            return Err("sharded run produced no metrics".into());
-        };
-        write_metrics(path, metrics)?;
-    }
-    if let Some(path) = &o.out {
-        std::fs::write(path, shard_report_json(&report))?;
-        println!("report written to {path}");
-    }
-    if !oracle.exact() {
-        return Err("sharded run diverged from the monolithic run".into());
-    }
-    Ok(())
-}
-
-fn shard_report_json(r: &ckpt::ShardReport) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"scheme\": \"{}\",\n", r.scheme.name()));
-    s.push_str(&format!(
-        "  \"total_instructions\": {},\n  \"sharded_cycles\": {},\n  \"ipc\": {:.6},\n",
-        r.total_instructions,
-        r.sharded_cycles,
-        r.ipc()
-    ));
-    s.push_str(&format!(
-        "  \"checkpoint_bytes\": {},\n  \"intervals\": [\n",
-        r.checkpoint_bytes
-    ));
-    for (i, iv) in r.intervals.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"start\": {}, \"instructions\": {}, \"cycles\": {}, \"warmed\": {}}}{}\n",
-            iv.start,
-            iv.instructions,
-            iv.cycles,
-            iv.warmed,
-            if i + 1 < r.intervals.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    if let Some(m) = &r.metrics {
-        s.push_str("  \"metrics\": ");
-        s.push_str(m.to_json().trim_end());
-        s.push_str(",\n");
-    }
-    s.push_str("  \"oracle\": {\n");
-    s.push_str(&format!(
-        "    \"instructions_match\": {},\n    \"digest_match\": {},\n    \"output_match\": {}",
-        r.oracle.instructions_match, r.oracle.digest_match, r.oracle.output_match
-    ));
-    if let (Some(mono), Some(err)) = (r.oracle.monolithic_cycles, r.oracle.cycle_error) {
-        s.push_str(&format!(
-            ",\n    \"monolithic_cycles\": {mono},\n    \"cycle_error\": {err:.6}"
-        ));
-    }
-    s.push_str("\n  }\n}\n");
-    s
-}
-
 fn print_output(output: &[i64]) {
     if !output.is_empty() {
         println!("program output: {output:?}");
@@ -1305,30 +1150,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_metrics_interval_only_applies_with_output() {
-        let args: Vec<String> = ["--kernel", "strings", "--metrics-interval", "250"]
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        let o = parse(SHARD, &args).unwrap();
-        assert_eq!(o.shard.metrics_interval, 0, "no output flag → unobserved");
-        let args: Vec<String> = [
-            "--kernel",
-            "strings",
-            "--metrics-out",
-            "m.csv",
-            "--metrics-interval",
-            "250",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-        let o = parse(SHARD, &args).unwrap();
-        assert_eq!(o.shard.metrics_interval, 250);
-        assert_eq!(o.metrics_out.as_deref(), Some("m.csv"));
-    }
-
-    #[test]
     fn campaign_options_parse() {
         let args: Vec<String> = [
             "--kernel",
@@ -1413,9 +1234,9 @@ mod tests {
             "got: {err}"
         );
         // Every subcommand that takes --scale checks it the same way;
-        // `run` and `shard` used to panic inside the kernel builder, and
-        // every rv32i kernel on scales its signed 32-bit `li` can't load.
-        for cmd in [RUN, CAMPAIGN, SCHEMES, EXPLAIN, SHARD] {
+        // `run` used to panic inside the kernel builder, and every rv32i
+        // kernel on scales its signed 32-bit `li` can't load.
+        for cmd in [RUN, CAMPAIGN, SCHEMES, EXPLAIN] {
             let name = command(cmd).name;
             let err = parse(cmd, &with(cmd, &["--scale", "0"]))
                 .err()
@@ -1520,7 +1341,7 @@ mod tests {
         let metrics = ["--trace-out", "--metrics-out", "--metrics-interval"];
         let faults = ["--seed", "--mix", "--max-insns", "-j", "--jobs", "--engine"];
         let program = ["--kernel", "--scale", "--isa"];
-        let accepted: [(Cmd, Vec<&str>); 10] = [
+        let accepted: [(Cmd, Vec<&str>); 9] = [
             (
                 RUN,
                 [
@@ -1591,25 +1412,6 @@ mod tests {
                 ]
                 .concat(),
             ),
-            (
-                SHARD,
-                [
-                    &program[..],
-                    &machine,
-                    &metrics,
-                    &[
-                        "--scheme",
-                        "--intervals",
-                        "-j",
-                        "--jobs",
-                        "--warmup",
-                        "--no-verify",
-                        "--out",
-                        "--snapshot",
-                    ],
-                ]
-                .concat(),
-            ),
             (ASM, vec!["--isa", "-o", "--out"]),
             (MIX, vec!["--isa"]),
             (DISASM, vec!["--isa"]),
@@ -1645,7 +1447,7 @@ mod tests {
     /// A valid value for each flag that takes one.
     fn sample_value(flag: &str) -> Option<&'static str> {
         Some(match flag {
-            "--early-removal" | "--stats" | "--no-verify" => return None,
+            "--early-removal" | "--stats" => return None,
             "--scheme" => "reese",
             "--isa" => "native",
             "--machine" => "ruu32",
@@ -1658,9 +1460,7 @@ mod tests {
             "--lsq-size" => "8",
             "--target" => "1000",
             f if f.ends_with("-out") || f.ends_with("-jsonl") => "f.out",
-            "--resume" | "--out" | "-o" | "--csv" | "--json" | "--outcomes" | "--snapshot" => {
-                "f.out"
-            }
+            "--resume" | "--out" | "-o" | "--csv" | "--json" | "--outcomes" => "f.out",
             _ => "2",
         })
     }
@@ -1806,7 +1606,7 @@ mod tests {
         for parse in [
             parse(RUN, &strings(&["--kernel", "strings", "--scheme", "tmr"])),
             parse(CAMPAIGN, &strings(&["--scheme", "tmr"])),
-            parse(SHARD, &strings(&["--scheme", "tmr"])),
+            parse(EXPLAIN, &with(EXPLAIN, &["--scheme", "tmr"])),
         ] {
             let err = parse
                 .err()
@@ -1819,7 +1619,7 @@ mod tests {
         }
         // `emulate` is a run-only pseudo-scheme, not a detection scheme.
         assert!(parse(CAMPAIGN, &strings(&["--scheme", "emulate"])).is_err());
-        assert!(parse(SHARD, &strings(&["--scheme", "emulate"])).is_err());
+        assert!(parse(EXPLAIN, &with(EXPLAIN, &["--scheme", "emulate"])).is_err());
     }
 
     #[test]
@@ -1833,11 +1633,25 @@ mod tests {
             Scheme::Meek
         );
         assert_eq!(
-            parse(SHARD, &strings(&["--scheme", "d"]))
+            parse(CAMPAIGN, &strings(&["--scheme", "d"]))
                 .unwrap()
                 .detection_scheme(),
             Scheme::Duplex
         );
+    }
+
+    #[test]
+    fn retired_shard_command_and_flags_are_unknown() {
+        assert!(COMMANDS.iter().all(|c| c.name != "shard"));
+        for c in &COMMANDS {
+            for flag in ["--intervals", "--warmup", "--no-verify", "--snapshot"] {
+                let err = parse(c.cmd, &with(c.cmd, &[flag, "2"]))
+                    .err()
+                    .unwrap_or_else(|| panic!("{} {flag} must be rejected", c.name))
+                    .to_string();
+                assert!(err.contains("unknown option"), "{}: {err}", c.name);
+            }
+        }
     }
 
     #[test]
@@ -1859,18 +1673,6 @@ mod tests {
             resolve("scheme", "reese", &["reese", "reese2"]).unwrap(),
             "reese"
         );
-    }
-
-    #[test]
-    fn shard_rejects_unshardable_schemes() {
-        for name in ["meek", "swift"] {
-            let err = parse(SHARD, &strings(&["--scheme", name]))
-                .err()
-                .expect("no interval machine")
-                .to_string();
-            assert!(err.contains(name), "got: {err}");
-            assert!(err.contains("baseline|reese|duplex"), "got: {err}");
-        }
     }
 
     #[test]
@@ -2007,13 +1809,6 @@ mod tests {
                 isa,
                 "default kernel must load under the selected ISA"
             );
-            assert_eq!(
-                parse(SHARD, &strings(&["--isa", isa.name()]))
-                    .unwrap()
-                    .program()
-                    .isa(),
-                isa
-            );
             let o = parse(
                 EXPLAIN,
                 &strings(&["--outcomes", "c.jsonl", "--trial", "0", "--isa", isa.name()]),
@@ -2100,6 +1895,47 @@ mod tests {
     }
 
     #[test]
+    fn flat_binary_errors_name_the_byte_offset() {
+        let dir = std::env::temp_dir();
+        for isa in IsaId::ALL {
+            let program = isa
+                .frontend()
+                .assemble("  li a0, 1\n  li a0, 2\n  li a0, 3\n  li a0, 4\n  li a0, 5\n")
+                .unwrap();
+            let image = program.text_image().unwrap();
+            let size = isa.inst_size() as usize;
+            let path = dir.join(format!(
+                "reese-cli-{}-{}.bin",
+                isa.name(),
+                std::process::id()
+            ));
+            let load = |bytes: &[u8]| {
+                std::fs::write(&path, bytes).unwrap();
+                let args = strings(&["--isa", isa.name(), path.to_str().unwrap()]);
+                parse(RUN, &args).err().expect("bad image").to_string()
+            };
+            // A corrupt fourth instruction sits at byte 3 × size.
+            let mut corrupt = image.clone();
+            corrupt[3 * size..4 * size].fill(0xFF);
+            let err = load(&corrupt);
+            assert!(
+                err.contains(&format!("byte offset {}:", 3 * size)),
+                "{isa}: {err}"
+            );
+            // A partial last instruction is named as such, at its start.
+            let ragged = &image[..image.len() - 1];
+            let err = load(ragged);
+            std::fs::remove_file(&path).ok();
+            let want = format!(
+                "byte offset {}: text image of {} bytes ends mid-instruction",
+                image.len() - size,
+                ragged.len()
+            );
+            assert!(err.ends_with(&want), "{isa}: {err}");
+        }
+    }
+
+    #[test]
     fn asm_writes_a_flat_binary_the_loader_accepts() {
         let dir = std::env::temp_dir();
         let src = dir.join(format!("reese-asm-test-{}.s", std::process::id()));
@@ -2155,7 +1991,7 @@ mod tests {
         assert!(err.contains("--metrics-interval"), "got: {err}");
         assert!(err.contains("at least 1"), "got: {err}");
         assert!(parse(CAMPAIGN, &strings(&["--metrics-interval", "0"])).is_err());
-        assert!(parse(SHARD, &strings(&["--metrics-interval", "0"])).is_err());
+        assert!(parse(SCHEMES, &strings(&["--metrics-interval", "0"])).is_err());
     }
 
     #[test]
@@ -2166,20 +2002,8 @@ mod tests {
                 .expect("zero jobs must be rejected")
                 .to_string();
             assert!(err.contains(flag), "got: {err}");
-            assert!(parse(SHARD, &strings(&[flag, "0"])).is_err());
+            assert!(parse(SCHEMES, &strings(&[flag, "0"])).is_err());
         }
-    }
-
-    #[test]
-    fn zero_intervals_is_rejected_at_parse_time() {
-        let err = parse(SHARD, &strings(&["--intervals", "0"]))
-            .err()
-            .expect("zero intervals must be rejected")
-            .to_string();
-        assert!(
-            err.contains("--intervals") && err.contains("at least 1"),
-            "got: {err}"
-        );
     }
 
     #[test]
@@ -2195,7 +2019,7 @@ mod tests {
             assert!(err.contains(flag), "got: {err}");
             assert!(err.contains("at least 1"), "got: {err}");
             assert!(parse(CAMPAIGN, &strings(&[flag, "0"])).is_err());
-            assert!(parse(SHARD, &strings(&[flag, "0"])).is_err());
+            assert!(parse(EXPLAIN, &with(EXPLAIN, &[flag, "0"])).is_err());
         }
         // The REESE knobs used to panic inside `ReeseConfig::validate`.
         for flag in ["--rqueue", "--dup-period"] {
@@ -2224,7 +2048,6 @@ mod tests {
         run_args.extend(duplex);
         assert_names_duplex_width(parse(RUN, &strings(&run_args)).err());
         assert_names_duplex_width(parse(CAMPAIGN, &strings(&duplex)).err());
-        assert_names_duplex_width(parse(SHARD, &strings(&duplex)).err());
         let mut explain_args = vec!["--outcomes", "log.jsonl", "--trial", "0"];
         explain_args.extend(duplex);
         assert_names_duplex_width(parse(EXPLAIN, &strings(&explain_args)).err());
@@ -2250,7 +2073,8 @@ mod tests {
         .to_string();
         assert!(err.contains("--lsq-size"), "got: {err}");
         assert!(parse(CAMPAIGN, &strings(&["--ruu-size", "8", "--lsq-size", "16"])).is_err());
-        assert!(parse(SHARD, &strings(&["--ruu-size", "8", "--lsq-size", "16"])).is_err());
+        let lsq_over_ruu = ["--ruu-size", "8", "--lsq-size", "16"];
+        assert!(parse(EXPLAIN, &with(EXPLAIN, &lsq_over_ruu)).is_err());
         // Valid overrides land in the config.
         let o = parse(
             RUN,

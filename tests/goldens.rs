@@ -186,7 +186,6 @@ const TRANSCRIPT: &[&str] = &[
     "explain --outcomes {tmp}/campaign.jsonl --kernel strings --trial 3",
     "campaign --isa rv32i --kernel lisp --scale 2 --scheme duplex --injections 10 --engine full -j 1",
     "schemes --kernel strings --target 12000 --trials 10 -j 1",
-    "shard --kernel lisp --intervals 2 -j 1 --warmup 1000 --out {tmp}/shard.json",
     "mix lisp",
     "disasm strings",
     "disasm --isa rv32i examples/rv32i/checksum.s",
@@ -221,8 +220,6 @@ fn cli_transcript_matches_golden() {
         transcript.push_str(&format!("$ reese {entry}\n[exit {status}]\n"));
         let stdout = String::from_utf8_lossy(&out.stdout).replace(tmp, "{tmp}");
         for line in stdout.lines().filter(|l| !is_wall_clock(l)) {
-            // The shard pool's utilisation is wall-clock time too.
-            let line = line.split(", pool utilisation").next().unwrap_or(line);
             transcript.push_str(line);
             transcript.push('\n');
         }
@@ -245,8 +242,7 @@ fn every_command_prints_its_help() {
         )
     };
     let commands = [
-        "run", "campaign", "schemes", "explain", "shard", "asm", "mix", "disasm", "trace",
-        "kernels",
+        "run", "campaign", "schemes", "explain", "asm", "mix", "disasm", "trace", "kernels",
     ];
     for cmd in commands {
         let (ok, text) = help(&[cmd, "--help"]);
@@ -264,4 +260,14 @@ fn every_command_prints_its_help() {
     }
     let (ok, _) = help(&[]);
     assert!(!ok, "a bare `reese` is a usage error");
+    let retired = Command::new(env!("CARGO_BIN_EXE_reese"))
+        .args(["shard", "--help"])
+        .output()
+        .expect("spawn reese");
+    assert!(!retired.status.success(), "`reese shard` was retired");
+    let stderr = String::from_utf8_lossy(&retired.stderr);
+    assert!(
+        stderr.starts_with("error: unknown command `shard`"),
+        "{stderr}"
+    );
 }
