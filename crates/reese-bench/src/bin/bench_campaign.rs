@@ -9,8 +9,9 @@
 //! run double as the replay-exactness oracle. The paired timings then
 //! price what the reuse machinery buys: `Full` re-derives each trial's
 //! anchor state from instruction 0 and re-runs its clean window;
-//! `Replay` restores from the once-per-campaign checkpoint sweep,
-//! shares clean-window baselines, and memoizes duplicate fault keys.
+//! `Replay` restores each window from the once-per-campaign checkpoint
+//! sweep, runs its clean run once with the window's trials forked off
+//! it at their injection points, and memoizes duplicate fault keys.
 //!
 //! Results are printed and written to `BENCH_campaign.json` (override
 //! with `--out FILE`; `--samples N` adjusts the timed sample count;

@@ -19,6 +19,7 @@ pub(crate) fn by_seq(faults: &[InjectedFault]) -> SeqTable<Vec<InjectedFault>> {
 }
 
 /// Redundancy statistics plus the detection log and retry state.
+#[derive(Clone)]
 pub(crate) struct Checker {
     pub stats: ReeseStats,
     detections: Vec<DetectionEvent>,

@@ -15,9 +15,11 @@
 
 use crate::check::{by_seq, Checker};
 use crate::seqmap::SeqTable;
-use crate::{DetectionEvent, DuplexFaults, InjectedFault, ReeseError, ReeseResult, Stream};
+use crate::{
+    ArmFault, DetectionEvent, DuplexFaults, InjectedFault, ReeseError, ReeseResult, Stream,
+};
 use reese_isa::Program;
-use reese_pipeline::{Core, Machine, PipelineConfig, Redundancy, RunSpec, SimResult};
+use reese_pipeline::{Core, Machine, PipelineConfig, Redundancy, RunSpec, SimResult, Start};
 use reese_trace::{CycleState, Observer, Stage, Stream as TStream};
 
 /// The dispatch-duplication machine: every fetched instruction enters
@@ -105,20 +107,44 @@ impl DuplexSim {
         &self,
         spec: RunSpec<'_, O, DuplexFaults<'_>>,
     ) -> Result<ReeseResult, ReeseError> {
+        self.machine(spec.start, spec.faults)
+            .run(spec.limit, spec.observer)
+    }
+
+    /// The fault-free duplex machine at `start`, to run step by step:
+    /// pause it with [`Core::run_until`], clone it, and arm a fault in
+    /// the clone with [`ArmFault::arm`].
+    pub fn core(
+        &self,
+        start: Start<'_>,
+    ) -> Core<'_, impl ArmFault<Output = ReeseResult, Error = ReeseError> + Clone> {
+        self.machine(start, DuplexFaults::default())
+    }
+
+    fn machine(&self, start: Start<'_>, faults: DuplexFaults<'_>) -> Core<'_, DualDispatch> {
         let policy = DualDispatch {
             check: Checker::new(1),
-            faults: by_seq(spec.faults.0),
+            faults: by_seq(faults.0),
         };
-        Core::new(Machine::new(&self.config, spec.start), policy).run(spec.limit, spec.observer)
+        Core::new(Machine::new(&self.config, start), policy)
     }
 }
 
 /// Dispatch duplication's policy: two RUU entries per instruction
 /// (parity tags the stream), committed and compared as a pair.
+#[derive(Clone)]
 struct DualDispatch {
     check: Checker,
     /// Pending injected faults keyed by *fetch* seq (the pair index).
     faults: SeqTable<Vec<InjectedFault>>,
+}
+
+impl ArmFault for DualDispatch {
+    fn arm(&mut self, fault: InjectedFault) {
+        self.faults
+            .get_or_insert_with(fault.seq, Vec::new)
+            .push(fault);
+    }
 }
 
 impl Redundancy for DualDispatch {

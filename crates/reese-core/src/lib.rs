@@ -47,7 +47,7 @@ pub use fault::{
     DetectionEvent, DuplexFaults, DurationFault, DurationReport, InjectedFault, ReeseFaults, Stream,
 };
 pub use rqueue::{RQueue, RQueueEntry};
-pub use sim::ReeseSim;
+pub use sim::{ArmFault, ReeseSim};
 pub use stats::{ReeseError, ReeseResult, ReeseStats};
 
 // The scheduler-mode knob lives on the pipeline config; re-export it so

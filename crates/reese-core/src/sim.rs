@@ -7,7 +7,7 @@ use crate::{
     ReeseError, ReeseFaults, ReeseResult, Stream,
 };
 use reese_isa::{FuClass, Program};
-use reese_pipeline::{Core, Machine, Redundancy, RunSpec, SchedulerMode, Seq, SimResult};
+use reese_pipeline::{Core, Machine, Redundancy, RunSpec, SchedulerMode, Seq, SimResult, Start};
 use reese_trace::{CycleState, Observer, Stage, Stream as TStream};
 
 /// The REESE machine: the baseline pipeline plus the R-stream Queue.
@@ -100,15 +100,39 @@ impl ReeseSim {
         &self,
         spec: RunSpec<'_, O, ReeseFaults<'_>>,
     ) -> Result<ReeseResult, ReeseError> {
-        let m = Machine::new(&self.config.pipeline, spec.start);
-        let policy = RStream::new(&self.config, m.fetch.next_seq(), spec.faults);
-        Core::new(m, policy).run(spec.limit, spec.observer)
+        self.machine(spec.start, spec.faults)
+            .run(spec.limit, spec.observer)
     }
+
+    /// The fault-free REESE machine at `start`, to run step by step:
+    /// pause it with [`Core::run_until`], clone it, and arm a fault in
+    /// the clone with [`ArmFault::arm`].
+    pub fn core<'a>(
+        &'a self,
+        start: Start<'_>,
+    ) -> Core<'a, impl ArmFault<Output = ReeseResult, Error = ReeseError> + Clone + 'a> {
+        self.machine(start, ReeseFaults::default())
+    }
+
+    fn machine(&self, start: Start<'_>, faults: ReeseFaults<'_>) -> Core<'_, RStream<'_>> {
+        let m = Machine::new(&self.config.pipeline, start);
+        let policy = RStream::new(&self.config, m.fetch.next_seq(), faults);
+        Core::new(m, policy)
+    }
+}
+
+/// A redundancy policy that takes latched-result faults while it runs.
+pub trait ArmFault: Redundancy {
+    /// Arms `fault` as if it had been handed to the run at its start.
+    /// Call it only while `fault.seq` has not executed yet (see
+    /// [`Core::run_until`]).
+    fn arm(&mut self, fault: InjectedFault);
 }
 
 /// REESE's policy: migrate completed instructions into the R-stream
 /// Queue, re-execute them in idle and spare units, and compare before
 /// commit.
+#[derive(Clone)]
 struct RStream<'c> {
     cfg: &'c ReeseConfig,
     rqueue: RQueue,
@@ -125,6 +149,7 @@ struct RStream<'c> {
 }
 
 /// The fault state of one REESE run.
+#[derive(Clone)]
 struct Injector {
     /// Pending injected faults keyed by target seq.
     pending: SeqTable<Vec<InjectedFault>>,
@@ -363,6 +388,15 @@ impl<'c> RStream<'c> {
         } else {
             u64::from(op.latency())
         })
+    }
+}
+
+impl ArmFault for RStream<'_> {
+    fn arm(&mut self, fault: InjectedFault) {
+        self.faults
+            .pending
+            .get_or_insert_with(fault.seq, Vec::new)
+            .push(fault);
     }
 }
 

@@ -4,7 +4,10 @@ use crate::engine::{
     boundary_count, clean_window, plan_window, TrialWindow, WindowBaseline,
     MAX_RESIDENT_CHECKPOINTS,
 };
-use crate::schemes::{self, DetectionScheme, SchemeRun, Trial};
+use crate::schemes::{
+    self, DetectionScheme, FaultKey, ForkCycles, PendingOutcome, SchemeRun, WindowBatch,
+    WindowReplay,
+};
 use crate::stream::{fnv1a64, outcome_line, LogFile, LogHeader, LogWriter};
 use crate::telemetry::{json_str, Telemetry};
 use crate::{CoverageReport, FaultClass, FaultMix, TrialEngine, TrialOutcome};
@@ -14,10 +17,11 @@ use reese_ckpt::{
 use reese_core::ReeseConfig;
 use reese_cpu::Emulator;
 use reese_isa::Program;
-use reese_stats::{par_map_indexed, ParallelStats, SplitMix64};
+use reese_stats::{par_map_indexed, par_map_joined, Gate, ParallelStats, SplitMix64};
 use reese_trace::{MetricsSeries, Tracer};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
@@ -171,8 +175,9 @@ impl Campaign {
 
     /// Sets the thread budget (default 1 = serial). The clean reference
     /// run takes one thread while it lasts and the pool phases share the
-    /// rest; at 1 everything runs in turn on the calling thread. The
-    /// report is bit-identical for every value; 0 is treated as 1.
+    /// rest, each taking that thread back once the run is done; at 1
+    /// everything runs in turn on the calling thread. The report is
+    /// bit-identical for every value; 0 is treated as 1.
     pub fn jobs(mut self, n: usize) -> Campaign {
         self.jobs = n.max(1);
         self
@@ -294,8 +299,10 @@ impl Campaign {
         let prepared = scheme.prepare(program).map_err(CampaignError::Workload)?;
         let (scheme, program) = (scheme.as_ref(), &prepared);
 
+        // Opened once the clean run no longer holds a thread.
+        let clean_done = Gate::new();
         std::thread::scope(|scope| {
-            let clean = CleanRun::start(scope, self.jobs, || {
+            let clean = CleanRun::start(scope, self.jobs, &clean_done, || {
                 scheme.run_limit(program, self.max_instructions)
             });
             let sweep_start = Instant::now();
@@ -319,7 +326,7 @@ impl Campaign {
                 scheme,
                 program,
                 tele,
-                &clean,
+                &clean_done,
                 &mut log,
                 coarse,
                 stride,
@@ -382,17 +389,17 @@ impl Campaign {
 
     /// Everything after the reference sweep that does not need the
     /// clean run: the parameter pre-draw, the campaign log's opening,
-    /// anchors, baselines and the trial fan-out. Each pool phase sizes
-    /// itself from `clean` when it starts. A resumed log's header is
-    /// left in `log` before it is checked, so the caller can check it
-    /// in full once the clean run has joined.
+    /// anchors, and the trials (with their window baselines). The trial
+    /// phases hold their last worker back until `clean_done` opens. A
+    /// resumed log's header is left in `log` before it is checked, so
+    /// the caller can check it in full once the clean run has joined.
     #[allow(clippy::too_many_arguments)]
     fn trial_phases(
         &self,
         scheme: &dyn DetectionScheme,
         program: &Program,
         tele: Option<&Telemetry>,
-        clean: &CleanRun<'_>,
+        clean_done: &Gate,
         log: &mut PendingLog,
         coarse: Vec<Checkpoint>,
         stride: u64,
@@ -422,7 +429,7 @@ impl Campaign {
         // the fan-out below cannot perturb it and the report compares
         // equal for every worker count.
         let mut rng = SplitMix64::new(self.seed);
-        let params: Vec<(FaultClass, u64, u8)> = (0..self.trials)
+        let params: Vec<FaultKey> = (0..self.trials)
             .map(|_| {
                 let class = self.mix.sample(rng.next_u64());
                 let seq = rng.range_u64(0, dynamic_len);
@@ -476,8 +483,8 @@ impl Campaign {
         // outcome is a pure function of (class, seq, bit), so the
         // memoized path computes each key once however many trials drew
         // it.
-        let mut keys: Vec<(FaultClass, u64, u8)> = Vec::new();
-        let mut key_of: HashMap<(FaultClass, u64, u8), usize> = HashMap::new();
+        let mut keys: Vec<FaultKey> = Vec::new();
+        let mut key_of: HashMap<FaultKey, usize> = HashMap::new();
         for &t in &todo {
             key_of.entry(params[t]).or_insert_with(|| {
                 keys.push(params[t]);
@@ -507,8 +514,7 @@ impl Campaign {
         // *used* anchor, not per boundary of a long program.
         let windows = self.planned_windows(boundaries, dynamic_len, &keys);
         let phase_start = Instant::now();
-        let anchors =
-            self.anchor_checkpoints(clean.pool(self.jobs), program, &coarse, stride, &windows)?;
+        let anchors = self.anchor_checkpoints(clean_done, program, &coarse, stride, &windows)?;
         drop(coarse);
         if let Some(t) = tele {
             t.emit(
@@ -522,48 +528,65 @@ impl Campaign {
                 ],
             );
         }
-        let phase_start = Instant::now();
-        let baselines =
-            self.window_baselines(clean.pool(self.jobs), scheme, program, &anchors, &windows)?;
-        if let Some(t) = tele {
-            t.emit(
-                "baselines_cached",
-                &[
-                    ("windows", baselines.len().to_string()),
-                    (
-                        "phase_ms",
-                        (phase_start.elapsed().as_millis() as u64).to_string(),
-                    ),
-                ],
-            );
-        }
 
         let mut computed: BTreeMap<usize, TrialOutcome> = BTreeMap::new();
         let mut metrics: Option<MetricsSeries> = None;
-        let throughput;
+        let (throughput, cycles);
         if self.metrics_interval == 0 {
-            let total = keys.len() as u64;
-            let stride = (total / 16).max(1);
-            let (results, stats) =
-                par_map_indexed(clean.pool(self.jobs), &keys, |_, &(class, seq, bit)| {
-                    let r = self.trial_outcome(
-                        scheme,
-                        program,
-                        &anchors,
-                        &baselines,
-                        boundaries,
-                        dynamic_len,
-                        class,
-                        seq,
-                        bit,
-                        None,
+            let results;
+            (results, throughput, cycles) = if self.engine == TrialEngine::Replay {
+                if let Some(t) = tele {
+                    // The clean windows run inside the window phase, so
+                    // there is no separate baseline phase to time.
+                    t.emit(
+                        "baselines_cached",
+                        &[
+                            ("windows", windows.len().to_string()),
+                            ("phase_ms", "0".into()),
+                        ],
                     );
-                    if let Some(t) = tele {
-                        t.progress(total, stride);
-                    }
-                    r
-                });
-            throughput = stats;
+                }
+                let plan = WindowPlan::new(
+                    scheme,
+                    &keys,
+                    &windows,
+                    |seq| self.window_of(seq, boundaries, dynamic_len),
+                    self.jobs,
+                );
+                self.window_phase(clean_done, scheme, program, &anchors, &plan, tele)?
+            } else {
+                // The oracle arm: every key from scratch.
+                let total = keys.len() as u64;
+                let stride = (total / 16).max(1);
+                let (results, stats) = par_map_joined(
+                    self.jobs,
+                    Some(clean_done),
+                    &keys,
+                    |_| 1,
+                    |_, &key| {
+                        let r = self.trial_outcome(
+                            scheme,
+                            program,
+                            &anchors,
+                            &HashMap::new(),
+                            boundaries,
+                            dynamic_len,
+                            key,
+                            None,
+                        );
+                        if let Some(t) = tele {
+                            t.progress(total, stride);
+                        }
+                        r
+                    },
+                );
+                let mut cycles = ForkCycles::default();
+                for (_, spent) in results.iter().flatten() {
+                    cycles.add(*spent);
+                }
+                let results = results.into_iter().map(|r| r.map(|(o, _)| o)).collect();
+                (results, stats, cycles)
+            };
             for &t in &todo {
                 match &results[key_of[&params[t]]] {
                     Ok(o) => {
@@ -580,40 +603,66 @@ impl Campaign {
         } else {
             // Metrics sampling pools one series per simulated *trial*;
             // memoization would collapse duplicate keys and change the
-            // pooled totals, so every trial simulates individually.
+            // pooled totals, so every trial simulates individually, each
+            // restored from its anchor against a cached clean window.
+            let phase_start = Instant::now();
+            let baselines =
+                self.window_baselines(clean_done, scheme, program, &anchors, &windows)?;
+            if let Some(t) = tele {
+                t.emit(
+                    "baselines_cached",
+                    &[
+                        ("windows", baselines.len().to_string()),
+                        (
+                            "phase_ms",
+                            (phase_start.elapsed().as_millis() as u64).to_string(),
+                        ),
+                    ],
+                );
+            }
             let total = todo.len() as u64;
             let stride = (total / 16).max(1);
-            let (results, stats) = par_map_indexed(clean.pool(self.jobs), &todo, |_, &t| {
-                let (class, seq, bit) = params[t];
-                let mut tracer = class
-                    .detectable_by_design()
-                    .then(|| Tracer::new().with_interval(self.metrics_interval));
-                let outcome = self
-                    .trial_outcome(
-                        scheme,
-                        program,
-                        &anchors,
-                        &baselines,
-                        boundaries,
-                        dynamic_len,
-                        class,
-                        seq,
-                        bit,
-                        tracer.as_mut(),
-                    )
-                    .map_err(|message| CampaignError::Trial { trial: t, message })?;
-                let series = tracer.map(|mut t| {
-                    t.finish();
-                    t.into_parts().1
-                });
-                if let Some(tl) = tele {
-                    tl.progress(total, stride);
-                }
-                Ok((outcome, series))
-            });
+            let (results, stats) = par_map_joined(
+                self.jobs,
+                Some(clean_done),
+                &todo,
+                |_| 1,
+                |_, &t| {
+                    let key = params[t];
+                    let mut tracer = key
+                        .0
+                        .detectable_by_design()
+                        .then(|| Tracer::new().with_interval(self.metrics_interval));
+                    let outcome = self
+                        .trial_outcome(
+                            scheme,
+                            program,
+                            &anchors,
+                            &baselines,
+                            boundaries,
+                            dynamic_len,
+                            key,
+                            tracer.as_mut(),
+                        )
+                        .map_err(|message| CampaignError::Trial { trial: t, message })?;
+                    let series = tracer.map(|mut t| {
+                        t.finish();
+                        t.into_parts().1
+                    });
+                    if let Some(tl) = tele {
+                        tl.progress(total, stride);
+                    }
+                    Ok((outcome, series))
+                },
+            );
             throughput = stats;
+            let mut spent = ForkCycles {
+                clean: baselines.values().map(|b| b.cycles).sum(),
+                ..ForkCycles::default()
+            };
             for (result, &t) in results.into_iter().zip(&todo) {
-                let (outcome, series) = result?;
+                let ((outcome, trial_cycles), series) = result?;
+                spent.add(trial_cycles);
                 computed.insert(t, outcome);
                 if let Some(m) = series {
                     match &mut metrics {
@@ -622,10 +671,11 @@ impl Campaign {
                     }
                 }
             }
+            cycles = spent;
         }
 
         if let Some(t) = tele {
-            t.trials_done(&throughput);
+            t.trials_done(&throughput, &cycles);
         }
         Ok(Trials {
             recorded,
@@ -633,6 +683,114 @@ impl Campaign {
             metrics,
             throughput,
         })
+    }
+
+    /// The window a fault at `seq` is scored over.
+    fn window_of(&self, seq: u64, boundaries: usize, dynamic_len: u64) -> TrialWindow {
+        plan_window(
+            seq,
+            self.ckpt_every,
+            boundaries,
+            self.max_instructions,
+            dynamic_len,
+        )
+    }
+
+    /// The replay engine's window phase: every planned window's clean
+    /// run once from its anchor, with the window's keys forked off it
+    /// (see [`crate::schemes::WindowBatch`]) in the batches `plan`
+    /// splits them into. Returns one result per key of the plan, the
+    /// fan-out's stats, and where the simulated cycles went. A window
+    /// whose clean run fails fails the campaign, as a failed clean
+    /// window always has.
+    fn window_phase(
+        &self,
+        clean_done: &Gate,
+        scheme: &dyn DetectionScheme,
+        program: &Program,
+        anchors: &HashMap<usize, Checkpoint>,
+        plan: &WindowPlan,
+        tele: Option<&Telemetry>,
+    ) -> Result<Scored, CampaignError> {
+        let total = plan.indices.len() as u64;
+        let stride = (total / 16).max(1);
+        let weight = |b: &Batch| plan.span(b).len() as u64;
+        let (replays, stats) = par_map_joined(
+            self.jobs,
+            Some(clean_done),
+            &plan.batches,
+            weight,
+            |_, b| {
+                let keys = &plan.keys[plan.span(b)];
+                let r = match b.window {
+                    Some(window) => {
+                        let (forks, inert) = keys.split_at(b.forks.len());
+                        scheme.replay_window(&WindowBatch {
+                            program,
+                            ck: &anchors[&window.anchor_idx],
+                            budget: window.budget,
+                            forks,
+                            inert,
+                            to_end: b.to_end.is_some(),
+                        })
+                    }
+                    None => WindowReplay {
+                        clean: Ok(None),
+                        outcomes: keys
+                            .iter()
+                            .map(|&k| {
+                                Ok(PendingOutcome {
+                                    outcome: undetectable(k),
+                                    cycles: 0,
+                                    end: None,
+                                })
+                            })
+                            .collect(),
+                        cycles: ForkCycles::default(),
+                    },
+                };
+                if let Some(t) = tele {
+                    for _ in keys {
+                        t.progress(total, stride);
+                    }
+                }
+                r
+            },
+        );
+
+        let mut cycles = ForkCycles::default();
+        let mut baselines = HashMap::new();
+        let mut failures = BTreeMap::new();
+        for (b, r) in plan.batches.iter().zip(&replays) {
+            cycles.add(r.cycles);
+            match (&r.clean, b.window) {
+                (Ok(Some(baseline)), Some(w)) => {
+                    baselines.insert(w, *baseline);
+                }
+                (Err(m), _) => {
+                    failures.insert(b.order, m.clone());
+                }
+                _ => {}
+            }
+        }
+        if let Some(m) = failures.into_values().next() {
+            return Err(CampaignError::Workload(format!("clean window failed: {m}")));
+        }
+        let mut results = vec![None; plan.indices.len()];
+        for (b, r) in plan.batches.iter().zip(replays) {
+            let span = plan.span(b);
+            for (&i, o) in plan.indices[span].iter().zip(r.outcomes) {
+                results[i] = Some(o.map(|p| match p.end {
+                    None => p.outcome,
+                    Some(_) => p.settle(&baselines[&b.window.expect("only windows compare")]),
+                }));
+            }
+        }
+        let results = results
+            .into_iter()
+            .map(|r| r.expect("every key is scored"))
+            .collect();
+        Ok((results, stats, cycles))
     }
 
     /// The reference pass. Under `Replay` the checkpoint-capture sweep
@@ -672,33 +830,25 @@ impl Campaign {
         &self,
         boundaries: usize,
         dynamic_len: u64,
-        keys: &[(FaultClass, u64, u8)],
+        keys: &[FaultKey],
     ) -> Vec<TrialWindow> {
         let mut seen = HashSet::new();
         keys.iter()
             .filter(|(class, _, _)| class.detectable_by_design())
-            .map(|&(_, seq, _)| {
-                plan_window(
-                    seq,
-                    self.ckpt_every,
-                    boundaries,
-                    self.max_instructions,
-                    dynamic_len,
-                )
-            })
+            .map(|&(_, seq, _)| self.window_of(seq, boundaries, dynamic_len))
             .filter(|w| seen.insert(*w))
             .collect()
     }
 
     /// Derives the anchor checkpoints the planned windows use from the
-    /// coarse sweep, on `jobs` workers. Each distinct anchor costs at
-    /// most one coarse-stride warm fast-forward plus one capture;
-    /// anchors that land on the coarse grid are reused as-is.
-    /// Replay-only: the `Full` arm re-derives anchors from instruction
-    /// 0 inside each trial.
+    /// coarse sweep, on a pool. Each distinct anchor costs at most one
+    /// coarse-stride warm fast-forward plus one capture; anchors that
+    /// land on the coarse grid are reused as-is. Replay-only: the
+    /// `Full` arm re-derives anchors from instruction 0 inside each
+    /// trial.
     fn anchor_checkpoints(
         &self,
-        jobs: usize,
+        clean_done: &Gate,
         program: &Program,
         coarse: &[Checkpoint],
         stride: u64,
@@ -713,7 +863,17 @@ impl Campaign {
             .map(|w| w.anchor_idx)
             .filter(|&idx| seen.insert(idx))
             .collect();
-        let (results, _) = par_map_indexed(jobs, &wanted, |_, &idx| {
+        // Unlike the other phases, this one keeps to the threads it has
+        // when it starts. Only the calling thread could take the clean
+        // run's thread over, and it allocated the sweep's checkpoints:
+        // anchors it derived, which live through the trials, would pin
+        // that memory (schemes -j 2 peaked 14 MiB higher).
+        let workers = if clean_done.is_open() {
+            self.jobs
+        } else {
+            self.jobs - 1
+        };
+        let (results, _) = par_map_indexed(workers, &wanted, |_, &idx| {
             let boundary = idx as u64 * self.ckpt_every;
             let base = &coarse[(boundary / stride) as usize];
             derive_checkpoint(program, base, boundary, &self.config.pipeline)
@@ -756,12 +916,12 @@ impl Campaign {
         }
     }
 
-    /// Clean-window baselines for every planned window, computed on
-    /// `jobs` workers before trial fan-out. Replay-only: the `Full` arm
-    /// recomputes its baseline inside each trial, sharing nothing.
+    /// Clean-window baselines for every planned window, computed on the
+    /// pool before the sampled trials fan out. Replay-only: the `Full`
+    /// arm recomputes its baseline inside each trial, sharing nothing.
     fn window_baselines(
         &self,
-        jobs: usize,
+        clean_done: &Gate,
         scheme: &dyn DetectionScheme,
         program: &Program,
         anchors: &HashMap<usize, Checkpoint>,
@@ -770,9 +930,13 @@ impl Campaign {
         if self.engine == TrialEngine::Full {
             return Ok(HashMap::new());
         }
-        let (results, _) = par_map_indexed(jobs, windows, |_, w| {
-            clean_window(scheme, program, &anchors[&w.anchor_idx], w.budget)
-        });
+        let (results, _) = par_map_joined(
+            self.jobs,
+            Some(clean_done),
+            windows,
+            |_| 1,
+            |_, w| clean_window(scheme, program, &anchors[&w.anchor_idx], w.budget),
+        );
         let mut map = HashMap::with_capacity(windows.len());
         for (&w, r) in windows.iter().zip(results) {
             let baseline =
@@ -784,7 +948,8 @@ impl Campaign {
 
     /// Scores one fault key over its anchored window (see
     /// [`crate::engine`] for the window contract shared by both
-    /// engines).
+    /// engines), restored from the anchor, and counts the cycles it
+    /// simulated.
     #[allow(clippy::too_many_arguments)]
     fn trial_outcome(
         &self,
@@ -794,34 +959,15 @@ impl Campaign {
         baselines: &HashMap<TrialWindow, WindowBaseline>,
         boundaries: usize,
         dynamic_len: u64,
-        class: FaultClass,
-        seq: u64,
-        bit: u8,
+        key: FaultKey,
         tracer: Option<&mut Tracer>,
-    ) -> Result<TrialOutcome, String> {
+    ) -> Result<(TrialOutcome, ForkCycles), String> {
+        let (class, seq, _) = key;
         if !class.detectable_by_design() {
-            // Classes outside every scheme's observation window:
-            // scored undetected-by-design, nothing to simulate.
-            return Ok(TrialOutcome {
-                class,
-                seq,
-                bit,
-                detected: false,
-                detection_latency: None,
-                extra_cycles: 0,
-                state_clean: true,
-                inject_cycle: None,
-                diverge_cycle: None,
-                detect_cycle: None,
-            });
+            return Ok((undetectable(key), ForkCycles::default()));
         }
-        let window = plan_window(
-            seq,
-            self.ckpt_every,
-            boundaries,
-            self.max_instructions,
-            dynamic_len,
-        );
+        let window = self.window_of(seq, boundaries, dynamic_len);
+        let mut spent = ForkCycles::default();
         let owned;
         let (ck, baseline): (&Checkpoint, WindowBaseline) = match self.engine {
             TrialEngine::Replay => (&anchors[&window.anchor_idx], baselines[&window]),
@@ -836,55 +982,176 @@ impl Campaign {
                 )
                 .map_err(|e| e.to_string())?;
                 let baseline = clean_window(scheme, program, &owned, window.budget)?;
+                spent.clean = baseline.cycles;
                 (&owned, baseline)
             }
         };
-        scheme.run_trial(Trial {
-            program,
-            ck,
-            baseline: &baseline,
-            class,
-            seq,
-            bit,
-            budget: window.budget,
-            tracer,
-            probe: None,
-        })
+        let faulted = scheme.run_faulted(program, ck, window.budget, key, tracer, None)?;
+        spent.suffix = faulted.cycles;
+        Ok((faulted.settle(&baseline), spent))
+    }
+}
+
+/// One result per fault key, the fan-out's stats, and where the
+/// simulated cycles went.
+type Scored = (Vec<Result<TrialOutcome, String>>, ParallelStats, ForkCycles);
+
+/// The outcome of a key outside every scheme's observation window:
+/// undetected by design, with nothing to simulate.
+fn undetectable((class, seq, bit): FaultKey) -> TrialOutcome {
+    TrialOutcome {
+        class,
+        seq,
+        bit,
+        detected: false,
+        detection_latency: None,
+        extra_cycles: 0,
+        state_clean: true,
+        inject_cycle: None,
+        diverge_cycle: None,
+        detect_cycle: None,
+    }
+}
+
+/// How the replay engine's window phase splits its keys into batches.
+///
+/// Each window's keys to fork are sorted by seq and cut into contiguous
+/// batches of at most half a worker's share of all forks (no cut at
+/// `-j 1`), so a campaign with fewer windows than workers (a short
+/// program, or CI's million-injection smoke, whose program is one
+/// window) still feeds them all evenly, while one with many small
+/// windows splits none. Each batch
+/// replays the clean prefix up to its own last fork, and the window's
+/// last batch runs the clean window to its end. Keys outside every
+/// scheme's observation window form one more batch, scored without
+/// simulation. The plan depends only on the campaign's inputs.
+struct WindowPlan {
+    /// Every key, grouped by window in first-occurrence order: a
+    /// window's forks sorted by seq, then its inert keys; the
+    /// unsimulated keys last.
+    keys: Vec<FaultKey>,
+    /// The index in the campaign's key list of each of `keys`.
+    indices: Vec<usize>,
+    /// The batches, most forks first so the longest start earliest.
+    batches: Vec<Batch>,
+}
+
+/// A contiguous run of [`WindowPlan::keys`]: forks of one window.
+struct Batch {
+    /// The window, or `None` for the unsimulated keys.
+    window: Option<TrialWindow>,
+    /// The window's first-occurrence rank (clean-run failures report in
+    /// this order).
+    order: usize,
+    /// The batch's forks.
+    forks: Range<usize>,
+    /// Where the window's keys end, when this batch runs the clean
+    /// window to its end and scores its inert keys too.
+    to_end: Option<usize>,
+}
+
+impl WindowPlan {
+    fn new(
+        scheme: &dyn DetectionScheme,
+        keys: &[FaultKey],
+        windows: &[TrialWindow],
+        window_of: impl Fn(u64) -> TrialWindow,
+        jobs: usize,
+    ) -> WindowPlan {
+        let slot: HashMap<TrialWindow, usize> =
+            windows.iter().enumerate().map(|(i, &w)| (w, i)).collect();
+        let mut forks = vec![Vec::new(); windows.len()];
+        let mut inert = vec![Vec::new(); windows.len()];
+        let mut unsimulated = Vec::new();
+        for (i, &(class, seq, _)) in keys.iter().enumerate() {
+            if !class.detectable_by_design() {
+                unsimulated.push(i);
+            } else if scheme.inert(class) {
+                inert[slot[&window_of(seq)]].push(i);
+            } else {
+                forks[slot[&window_of(seq)]].push(i);
+            }
+        }
+        // Two batches per worker let the tail steals even out batches
+        // whose suffixes differ in length.
+        let batches_wanted = if jobs > 1 { 2 * jobs } else { 1 };
+        let share = forks
+            .iter()
+            .map(Vec::len)
+            .sum::<usize>()
+            .div_ceil(batches_wanted)
+            .max(1);
+        let mut indices = Vec::with_capacity(keys.len());
+        let mut batches = Vec::new();
+        for (order, (mut forks, inert)) in forks.into_iter().zip(inert).enumerate() {
+            forks.sort_by_key(|&i| (keys[i].1, i));
+            let (start, n) = (indices.len(), forks.len());
+            let end = start + n + inert.len();
+            let parts = n.div_ceil(share).max(1);
+            batches.extend((0..parts).map(|p| Batch {
+                window: Some(windows[order]),
+                order,
+                forks: start + p * n / parts..start + (p + 1) * n / parts,
+                to_end: (p + 1 == parts).then_some(end),
+            }));
+            indices.extend(forks.into_iter().chain(inert));
+        }
+        if !unsimulated.is_empty() {
+            let start = indices.len();
+            batches.push(Batch {
+                window: None,
+                order: windows.len(),
+                forks: start..start,
+                to_end: Some(start + unsimulated.len()),
+            });
+            indices.extend(unsimulated);
+        }
+        batches.sort_by_key(|b| std::cmp::Reverse(b.forks.len()));
+        WindowPlan {
+            keys: indices.iter().map(|&i| keys[i]).collect(),
+            indices,
+            batches,
+        }
+    }
+
+    /// A batch's span of [`WindowPlan::keys`]: its forks, plus the
+    /// window's inert keys if it runs the window to its end.
+    fn span(&self, b: &Batch) -> Range<usize> {
+        b.forks.start..b.to_end.unwrap_or(b.forks.end)
     }
 }
 
 /// The campaign's clean whole-program detailed run. It supplies only
 /// the report's `clean_cycles` and the log header's clean-run fields,
 /// so it runs on its own scoped thread beside the sweep and the trial
-/// phases and is joined where those numbers are first needed. At `-j1`
-/// it runs inline, before the sweep.
+/// phases and is joined where those numbers are first needed. It opens
+/// its gate when it finishes, so a pool phase's held-back worker takes
+/// its thread over. At `-j1` it runs inline, before the sweep.
 enum CleanRun<'scope> {
     Running(ScopedJoinHandle<'scope, (Result<SchemeRun, String>, Duration)>),
     Done((Result<SchemeRun, String>, Duration)),
 }
 
 impl<'scope> CleanRun<'scope> {
-    fn start<'env, F>(scope: &'scope Scope<'scope, 'env>, jobs: usize, run: F) -> CleanRun<'scope>
+    fn start<'env, F>(
+        scope: &'scope Scope<'scope, 'env>,
+        jobs: usize,
+        done: &'scope Gate,
+        run: F,
+    ) -> CleanRun<'scope>
     where
         F: FnOnce() -> Result<SchemeRun, String> + Send + 'scope,
     {
         let timed = move || {
             let start = Instant::now();
-            (run(), start.elapsed())
+            let result = (run(), start.elapsed());
+            done.open();
+            result
         };
         if jobs > 1 {
             CleanRun::Running(scope.spawn(timed))
         } else {
             CleanRun::Done(timed())
-        }
-    }
-
-    /// Workers a pool phase starting now may use out of the `jobs`
-    /// thread budget: one fewer while the clean run holds a thread.
-    fn pool(&self, jobs: usize) -> usize {
-        match self {
-            CleanRun::Running(handle) if !handle.is_finished() => jobs - 1,
-            _ => jobs,
         }
     }
 
@@ -1030,9 +1297,9 @@ mod tests {
             .unwrap();
         let t = report.throughput.expect("throughput recorded");
         assert_eq!(t.items(), 8, "eight distinct fault keys, none memoized");
-        // Four threads in all: the fan-out gets three of them if the
-        // clean run was still going when it started. The exact split is
-        // pinned by `clean_run_holds_one_thread_of_the_budget_until_it_finishes`.
+        // Four threads in all: the trial phase's last worker joins once
+        // the clean run is done. The hand-over is pinned by
+        // `clean_run_holds_one_thread_of_the_budget_until_it_finishes`.
         assert!((3..=4).contains(&t.jobs), "{} workers", t.jobs);
         assert_eq!(t.workers.len(), t.jobs);
         assert!(t.items_per_sec() > 0.0);
@@ -1269,27 +1536,31 @@ mod tests {
 
     #[test]
     fn clean_run_holds_one_thread_of_the_budget_until_it_finishes() {
+        let (inline_done, threaded_done) = (Gate::new(), Gate::new());
         std::thread::scope(|scope| {
-            let inline = CleanRun::start(scope, 1, || Err("inline".into()));
+            let inline = CleanRun::start(scope, 1, &inline_done, || Err("inline".into()));
             assert!(matches!(inline, CleanRun::Done(_)), "-j1 runs it inline");
-            assert_eq!(inline.pool(4), 4);
+            assert!(inline_done.is_open(), "an inline run frees its thread");
 
             let (go, wait) = std::sync::mpsc::channel::<()>();
-            let running = CleanRun::start(scope, 4, move || {
+            let running = CleanRun::start(scope, 4, &threaded_done, move || {
                 wait.recv().unwrap();
                 Err("threaded".into())
             });
-            assert_eq!(running.pool(4), 3, "a blocked clean run holds a thread");
-            assert_eq!(running.pool(2), 1);
+            assert!(
+                !threaded_done.is_open(),
+                "a blocked clean run holds a thread"
+            );
+            // A pool phase meanwhile holds its last worker back.
+            let items: Vec<u8> = (0..8).collect();
+            let (_, stats) = par_map_joined(4, Some(&threaded_done), &items, |_| 1, |_, &x| x);
+            assert_eq!(stats.workers[3].items, 0, "{stats}");
             go.send(()).unwrap();
-            let CleanRun::Running(handle) = &running else {
-                panic!("-j4 runs the clean run on its own thread");
-            };
-            while !handle.is_finished() {
-                std::thread::yield_now();
-            }
-            assert_eq!(running.pool(4), 4, "a finished clean run frees its thread");
             assert_eq!(running.join().0.unwrap_err(), "threaded");
+            assert!(
+                threaded_done.is_open(),
+                "a finished clean run frees its thread"
+            );
         });
     }
 

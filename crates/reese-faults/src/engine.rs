@@ -26,11 +26,17 @@
 //! 0 (via [`reese_ckpt::warm_checkpoint_at`]) and re-runs its own
 //! clean window — no sweep, no caches, no memoization, full
 //! per-trial cost. [`TrialEngine::Replay`] captures all anchors in one
-//! [`reese_ckpt::checkpoint_stream`] sweep, restores per trial, shares
-//! clean-window baselines across trials with the same window, and
-//! memoizes outcomes by fault key. Outcome byte-identity between the
-//! two arms therefore certifies the entire reuse machinery —
-//! checkpoint capture/restore, baseline caching, memoization, parallel
+//! [`reese_ckpt::checkpoint_stream`] sweep and memoizes outcomes by
+//! fault key. It runs each window's clean run once from its anchor and
+//! forks the window's trials off it: at a trial's fork point, the last
+//! cycle boundary before any part of the machine can have executed the
+//! faulted instruction, it clones the running core, arms the fault on
+//! the clone and simulates only the faulted suffix (see
+//! [`crate::schemes::WindowBatch`]). Per-interval metrics sampling
+//! instead restores every trial from its anchor against a cached clean
+//! window, as forensics does. Outcome byte-identity between the two
+//! arms therefore certifies the entire reuse machinery — checkpoint
+//! capture/restore, forking, split scoring, memoization, parallel
 //! fan-out, and resume — against the from-scratch computation.
 
 use crate::schemes::DetectionScheme;
@@ -68,8 +74,8 @@ pub enum TrialEngine {
     /// clean window and the faulted window. The oracle arm — it shares
     /// no state across trials.
     Full,
-    /// One checkpoint sweep per campaign; per-trial restore, shared
-    /// clean-window baselines, memoized outcomes. The default arm.
+    /// One checkpoint sweep per campaign; one clean run per window with
+    /// its trials forked off it, memoized outcomes. The default arm.
     Replay,
 }
 
@@ -171,6 +177,19 @@ pub struct WindowBaseline {
     pub halted: bool,
 }
 
+impl WindowBaseline {
+    /// The baseline of a finished clean window run: its `cycles`,
+    /// fetch-frontier `digest`, committed `output` and `exit` code.
+    pub(crate) fn of(cycles: u64, digest: u64, output: &[i64], exit: Option<u64>) -> Self {
+        WindowBaseline {
+            cycles,
+            digest,
+            output_fnv: output_fnv(output),
+            halted: exit.is_some(),
+        }
+    }
+}
+
 /// FNV-1a over a committed output stream.
 pub(crate) fn output_fnv(out: &[i64]) -> u64 {
     let bytes: Vec<u8> = out.iter().flat_map(|v| v.to_le_bytes()).collect();
@@ -185,12 +204,12 @@ pub(crate) fn clean_window(
     budget: u64,
 ) -> Result<WindowBaseline, String> {
     let r = scheme.run_window(program, ck, budget)?;
-    Ok(WindowBaseline {
-        cycles: r.cycles,
-        digest: r.state_digest,
-        output_fnv: output_fnv(&r.output),
-        halted: r.exit_code.is_some(),
-    })
+    Ok(WindowBaseline::of(
+        r.cycles,
+        r.state_digest,
+        &r.output,
+        r.exit_code,
+    ))
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@
 //! outcome disagrees with the logged line, `explain` fails loudly
 //! rather than narrating a fiction.
 
-use crate::engine::{boundary_count, output_fnv, plan_window};
+use crate::engine::{boundary_count, plan_window};
 use crate::schemes::{self, Trial};
 use crate::stream::{fnv1a64, read_log_raw, trial_id};
 use crate::{CampaignError, FaultClass, TrialOutcome, WindowBaseline};
@@ -274,12 +274,12 @@ pub fn explain_trial(
     let clean_run = backend
         .run_window_observed(program, &ck, window.budget, &mut clean_log)
         .map_err(|m| CampaignError::Trial { trial, message: m })?;
-    let baseline = WindowBaseline {
-        cycles: clean_run.cycles,
-        digest: clean_run.state_digest,
-        output_fnv: output_fnv(&clean_run.output),
-        halted: clean_run.exit_code.is_some(),
-    };
+    let baseline = WindowBaseline::of(
+        clean_run.cycles,
+        clean_run.state_digest,
+        &clean_run.output,
+        clean_run.exit_code,
+    );
 
     let mut fault_log = DeepLog::new();
     let rerun = backend

@@ -14,17 +14,18 @@
 //! construction; its `state_clean` column is the silent-data-corruption
 //! rate the protected schemes are measured against.
 
+use super::fork::{anchor_start, replay_forks};
 use super::observe::CommitProbe;
-use super::{DetectionScheme, SchemeRun, Trial};
-use crate::engine::output_fnv;
-use crate::{FaultClass, TrialOutcome};
+use super::{DetectionScheme, FaultKey, PendingOutcome, SchemeRun, WindowBatch, WindowReplay};
+use crate::{FaultClass, TrialOutcome, WindowBaseline};
 use reese_ckpt::{Checkpoint, Scheme};
 use reese_core::{
-    DuplexFaults, DuplexSim, InjectedFault, ReeseConfig, ReeseFaults, ReeseResult, ReeseSim,
+    ArmFault, DuplexFaults, DuplexSim, InjectedFault, ReeseConfig, ReeseFaults, ReeseResult,
+    ReeseSim,
 };
 use reese_isa::Program;
 use reese_pipeline::{PipelineSim, RunSpec, SimResult};
-use reese_trace::{DeepLog, NoopObserver};
+use reese_trace::{DeepLog, NoopObserver, Tracer};
 
 fn from_pipeline(r: SimResult) -> SchemeRun {
     SchemeRun {
@@ -48,41 +49,68 @@ fn from_redundant(r: ReeseResult) -> SchemeRun {
 
 /// Scores a redundant-machine window result exactly as the campaign
 /// historically scored REESE trials.
-fn score_redundant(t: &Trial<'_>, r: &ReeseResult) -> TrialOutcome {
-    // Commit-granularity cleanliness: recovery must leave the
-    // committed output stream identical to the clean window's. The
-    // frontier digest is only comparable when the window reached
-    // halt — a budget-limited stop leaves the fetch emulator a
-    // recovery-dependent distance past the last commit, so there
-    // the digest measures speculative fetch depth, not state.
-    let state_clean = output_fnv(&r.output) == t.baseline.output_fnv
-        && (!t.baseline.halted || r.state_digest == t.baseline.digest);
+fn score_redundant((class, seq, bit): FaultKey, r: &ReeseResult) -> PendingOutcome {
     let first = r.detections.first();
-    TrialOutcome {
-        class: t.class,
-        seq: t.seq,
-        bit: t.bit,
+    let outcome = TrialOutcome {
+        class,
+        seq,
+        bit,
         detected: !r.detections.is_empty(),
         detection_latency: first.map(|d| d.latency()),
-        extra_cycles: r.cycles().saturating_sub(t.baseline.cycles),
-        state_clean,
+        extra_cycles: 0,
+        state_clean: false,
         inject_cycle: first.map(|d| d.inject_cycle),
         // Compare-before-commit: a detected corruption is squashed in
         // the compare latch and never goes architectural; an undetected
         // latch fault on these machines never fired at all.
         diverge_cycle: None,
         detect_cycle: first.map(|d| d.detect_cycle),
-    }
+    };
+    PendingOutcome::versus_clean(outcome, r.cycles(), &r.output, r.state_digest)
+}
+
+/// The clean-window baseline of a redundant-machine run.
+fn redundant_baseline(r: &ReeseResult) -> WindowBaseline {
+    WindowBaseline::of(r.cycles(), r.state_digest, &r.output, r.exit_code)
 }
 
 /// The fault a redundant machine latches for a trial key: primary or
 /// redundant compare-latch copy, by class.
-fn latch_fault(class: FaultClass, seq: u64, bit: u8) -> InjectedFault {
+fn latch_fault((class, seq, bit): FaultKey) -> InjectedFault {
     if class == FaultClass::PrimaryResult {
         InjectedFault::primary(seq, bit)
     } else {
         InjectedFault::redundant(seq, bit)
     }
+}
+
+/// Scores an unprotected-core run with an architectural fault: nothing
+/// detects; the probe pins the injection (first writeback of the
+/// faulted seq) and divergence (its commit) cycles.
+pub(crate) fn score_unchecked(
+    (class, seq, bit): FaultKey,
+    r: &SimResult,
+    probe: &CommitProbe,
+) -> PendingOutcome {
+    let committed = probe.commit_cycle(seq);
+    let outcome = TrialOutcome {
+        class,
+        seq,
+        bit,
+        detected: false,
+        detection_latency: None,
+        extra_cycles: 0,
+        state_clean: false,
+        inject_cycle: probe.first_writeback.or(committed),
+        diverge_cycle: committed,
+        detect_cycle: None,
+    };
+    PendingOutcome::versus_clean(outcome, r.stats.cycles, &r.output, r.state_digest)
+}
+
+/// The clean-window baseline of a plain-pipeline run.
+pub(crate) fn pipeline_baseline(r: &SimResult) -> WindowBaseline {
+    WindowBaseline::of(r.stats.cycles, r.state_digest, &r.output, r.exit_code)
 }
 
 /// The unprotected out-of-order core. No redundancy, no detection:
@@ -140,32 +168,40 @@ impl DetectionScheme for BaselineScheme {
             .map_err(|e| e.to_string())
     }
 
-    fn run_trial(&self, mut t: Trial<'_>) -> Result<TrialOutcome, String> {
+    fn run_faulted(
+        &self,
+        program: &Program,
+        ck: &Checkpoint,
+        budget: u64,
+        key: FaultKey,
+        tracer: Option<&mut Tracer>,
+        probe: Option<&mut DeepLog>,
+    ) -> Result<PendingOutcome, String> {
         // A single-stream machine has no redundant copy: both result
         // classes degenerate to one architectural result upset.
-        let mut emu = t.ck.restore(t.program);
-        emu.inject_result_fault(t.seq, t.bit);
-        // The probe pins the injection (first writeback of the faulted
-        // seq) and divergence (its commit) cycles; nothing detects.
-        let mut probe = CommitProbe::watching(t.seq);
-        let warm = t.ck.warm.as_ref();
-        let base = RunSpec::restored(emu, warm).limit(t.budget);
-        let r = run_trial_observed!(t, self.sim, base, &mut probe).map_err(|e| e.to_string())?;
-        let state_clean = output_fnv(&r.output) == t.baseline.output_fnv
-            && (!t.baseline.halted || r.state_digest == t.baseline.digest);
-        let committed = probe.commit_cycle(t.seq);
-        Ok(TrialOutcome {
-            class: t.class,
-            seq: t.seq,
-            bit: t.bit,
-            detected: false,
-            detection_latency: None,
-            extra_cycles: r.stats.cycles.saturating_sub(t.baseline.cycles),
-            state_clean,
-            inject_cycle: probe.first_writeback.or(committed),
-            diverge_cycle: committed,
-            detect_cycle: None,
-        })
+        let (_, seq, bit) = key;
+        let mut emu = ck.restore(program);
+        emu.inject_result_fault(seq, bit);
+        let mut own = CommitProbe::watching(seq);
+        let base = RunSpec::restored(emu, ck.warm.as_ref()).limit(budget);
+        let r = run_trial_observed!(tracer, probe, self.sim, base, &mut own)
+            .map_err(|e| e.to_string())?;
+        Ok(score_unchecked(key, &r, &own))
+    }
+
+    fn replay_window(&self, b: &WindowBatch<'_>) -> WindowReplay {
+        replay_forks(
+            b,
+            self.sim.core(anchor_start(b.program, b.ck)),
+            CommitProbe::new(),
+            |core, probe, (_, seq, bit)| {
+                core.inject_result_fault(seq, bit);
+                probe.watch(seq);
+            },
+            score_unchecked,
+            pipeline_baseline,
+            |key| self.run_faulted(b.program, b.ck, b.budget, key, None, None),
+        )
     }
 }
 
@@ -223,16 +259,34 @@ impl DetectionScheme for ReeseScheme {
             .map_err(|e| e.to_string())
     }
 
-    fn run_trial(&self, mut t: Trial<'_>) -> Result<TrialOutcome, String> {
-        let faults = [latch_fault(t.class, t.seq, t.bit)];
-        let emu = t.ck.restore(t.program);
-        let warm = t.ck.warm.as_ref();
-        let base = RunSpec::restored(emu, warm)
-            .limit(t.budget)
+    fn run_faulted(
+        &self,
+        program: &Program,
+        ck: &Checkpoint,
+        budget: u64,
+        key: FaultKey,
+        tracer: Option<&mut Tracer>,
+        probe: Option<&mut DeepLog>,
+    ) -> Result<PendingOutcome, String> {
+        let faults = [latch_fault(key)];
+        let base = RunSpec::restored(ck.restore(program), ck.warm.as_ref())
+            .limit(budget)
             .faults(ReeseFaults::injected(&faults));
-        let r =
-            run_trial_observed!(t, self.sim, base, &mut NoopObserver).map_err(|e| e.to_string())?;
-        Ok(score_redundant(&t, &r))
+        let r = run_trial_observed!(tracer, probe, self.sim, base, &mut NoopObserver)
+            .map_err(|e| e.to_string())?;
+        Ok(score_redundant(key, &r))
+    }
+
+    fn replay_window(&self, b: &WindowBatch<'_>) -> WindowReplay {
+        replay_forks(
+            b,
+            self.sim.core(anchor_start(b.program, b.ck)),
+            NoopObserver,
+            |core, _, key| core.policy_mut().arm(latch_fault(key)),
+            |key, r, _| score_redundant(key, r),
+            redundant_baseline,
+            |key| self.run_faulted(b.program, b.ck, b.budget, key, None, None),
+        )
     }
 }
 
@@ -290,15 +344,33 @@ impl DetectionScheme for DuplexScheme {
             .map_err(|e| e.to_string())
     }
 
-    fn run_trial(&self, mut t: Trial<'_>) -> Result<TrialOutcome, String> {
-        let faults = [latch_fault(t.class, t.seq, t.bit)];
-        let emu = t.ck.restore(t.program);
-        let warm = t.ck.warm.as_ref();
-        let base = RunSpec::restored(emu, warm)
-            .limit(t.budget)
+    fn run_faulted(
+        &self,
+        program: &Program,
+        ck: &Checkpoint,
+        budget: u64,
+        key: FaultKey,
+        tracer: Option<&mut Tracer>,
+        probe: Option<&mut DeepLog>,
+    ) -> Result<PendingOutcome, String> {
+        let faults = [latch_fault(key)];
+        let base = RunSpec::restored(ck.restore(program), ck.warm.as_ref())
+            .limit(budget)
             .faults(DuplexFaults(&faults));
-        let r =
-            run_trial_observed!(t, self.sim, base, &mut NoopObserver).map_err(|e| e.to_string())?;
-        Ok(score_redundant(&t, &r))
+        let r = run_trial_observed!(tracer, probe, self.sim, base, &mut NoopObserver)
+            .map_err(|e| e.to_string())?;
+        Ok(score_redundant(key, &r))
+    }
+
+    fn replay_window(&self, b: &WindowBatch<'_>) -> WindowReplay {
+        replay_forks(
+            b,
+            self.sim.core(anchor_start(b.program, b.ck)),
+            NoopObserver,
+            |core, _, key| core.policy_mut().arm(latch_fault(key)),
+            |key, r, _| score_redundant(key, r),
+            redundant_baseline,
+            |key| self.run_faulted(b.program, b.ck, b.budget, key, None, None),
+        )
     }
 }

@@ -26,15 +26,16 @@
 //! Clean-run time overhead is the verification tail: the run is done
 //! when the last instruction is *checked*, not when it commits.
 
+use super::classic::pipeline_baseline;
+use super::fork::{anchor_start, replay_forks};
 use super::observe::CommitProbe;
-use super::{DetectionScheme, SchemeRun, Trial};
-use crate::engine::output_fnv;
+use super::{DetectionScheme, FaultKey, PendingOutcome, SchemeRun, WindowBatch, WindowReplay};
 use crate::{FaultClass, TrialOutcome};
 use reese_ckpt::{Checkpoint, Scheme};
 use reese_core::ReeseConfig;
 use reese_isa::{OpKind, Program};
-use reese_pipeline::{PipelineSim, RunSpec};
-use reese_trace::DeepLog;
+use reese_pipeline::{PipelineSim, RunSpec, SimResult};
+use reese_trace::{DeepLog, Tracer};
 
 /// Number of small in-order checker cores.
 pub const CHECKERS: usize = 2;
@@ -177,24 +178,67 @@ impl DetectionScheme for MeekScheme {
             .map_err(|e| e.to_string())
     }
 
-    fn run_trial(&self, mut t: Trial<'_>) -> Result<TrialOutcome, String> {
+    fn run_faulted(
+        &self,
+        program: &Program,
+        ck: &Checkpoint,
+        budget: u64,
+        key: FaultKey,
+        tracer: Option<&mut Tracer>,
+        probe: Option<&mut DeepLog>,
+    ) -> Result<PendingOutcome, String> {
         // Primary-result faults corrupt the main core architecturally;
         // checker-side (redundant) upsets corrupt only the checker's
         // latched copy, so the main core stays clean.
-        let mut emu = t.ck.restore(t.program);
-        let primary = t.class == FaultClass::PrimaryResult;
-        if primary {
-            emu.inject_result_fault(t.seq, t.bit);
+        let (class, seq, bit) = key;
+        let mut emu = ck.restore(program);
+        if class == FaultClass::PrimaryResult {
+            emu.inject_result_fault(seq, bit);
         }
-        let mut probe = CommitProbe::watching(t.seq);
-        let warm = t.ck.warm.as_ref();
-        let base = RunSpec::restored(emu, warm).limit(t.budget);
-        let r = run_trial_observed!(t, self.sim, base, &mut probe).map_err(|e| e.to_string())?;
+        let mut own = CommitProbe::watching(seq);
+        let base = RunSpec::restored(emu, ck.warm.as_ref()).limit(budget);
+        let r = run_trial_observed!(tracer, probe, self.sim, base, &mut own)
+            .map_err(|e| e.to_string())?;
+        Ok(self.score(program, key, &r, &own))
+    }
 
-        let pc = probe.pc_of(t.seq);
-        let detected = match (primary, pc) {
-            (true, Some(pc)) => Self::primary_fault_checked(t.program, pc),
-            (false, Some(pc)) => Self::checker_fault_checked(t.program, pc),
+    /// A checker-side upset never touches the main core.
+    fn inert(&self, class: FaultClass) -> bool {
+        class != FaultClass::PrimaryResult
+    }
+
+    fn replay_window(&self, b: &WindowBatch<'_>) -> WindowReplay {
+        replay_forks(
+            b,
+            self.sim.core(anchor_start(b.program, b.ck)),
+            CommitProbe::new(),
+            |core, probe, (class, seq, bit)| {
+                if class == FaultClass::PrimaryResult {
+                    core.inject_result_fault(seq, bit);
+                }
+                probe.watch(seq);
+            },
+            |key, r, probe| self.score(b.program, key, r, probe),
+            pipeline_baseline,
+            |key| self.run_faulted(b.program, b.ck, b.budget, key, None, None),
+        )
+    }
+}
+
+impl MeekScheme {
+    /// Scores a window run with the fault of `key` (none in the core
+    /// for a checker-side upset) from its commit stream.
+    fn score(
+        &self,
+        program: &Program,
+        (class, seq, bit): FaultKey,
+        r: &SimResult,
+        probe: &CommitProbe,
+    ) -> PendingOutcome {
+        let primary = class == FaultClass::PrimaryResult;
+        let detected = match (primary, probe.pc_of(seq)) {
+            (true, Some(pc)) => Self::primary_fault_checked(program, pc),
+            (false, Some(pc)) => Self::checker_fault_checked(program, pc),
             // The fault target never committed in the window (halt
             // landed first): nothing reached the checkers.
             (_, None) => false,
@@ -208,43 +252,45 @@ impl DetectionScheme for MeekScheme {
             let idx = probe
                 .commits
                 .iter()
-                .position(|&(s, _, _)| s == t.seq)
+                .position(|&(s, _, _)| s == seq)
                 .expect("detected fault must be in the commit stream");
             let latency = complete[idx].saturating_sub(probe.commits[idx].1);
             // A primary fault goes architectural at the faulted seq's
             // commit; a checker-side upset never touches the main core.
             let commit = Some(probe.commits[idx].1);
-            Ok(TrialOutcome {
-                class: t.class,
-                seq: t.seq,
-                bit: t.bit,
-                detected: true,
-                detection_latency: Some(latency),
-                extra_cycles: latency + self.rollback,
-                state_clean: true,
-                inject_cycle: if primary {
-                    probe.first_writeback.or(commit)
-                } else {
-                    commit
+            PendingOutcome {
+                outcome: TrialOutcome {
+                    class,
+                    seq,
+                    bit,
+                    detected: true,
+                    detection_latency: Some(latency),
+                    extra_cycles: latency + self.rollback,
+                    state_clean: true,
+                    inject_cycle: if primary {
+                        probe.first_writeback.or(commit)
+                    } else {
+                        commit
+                    },
+                    diverge_cycle: if primary { commit } else { None },
+                    detect_cycle: Some(complete[idx]),
                 },
-                diverge_cycle: if primary { commit } else { None },
-                detect_cycle: Some(complete[idx]),
-            })
+                cycles: r.stats.cycles,
+                end: None,
+            }
         } else {
             // Escaped (masked fault, or a forwarded load value): score
             // the architectural damage honestly against the clean
             // window.
-            let state_clean = output_fnv(&r.output) == t.baseline.output_fnv
-                && (!t.baseline.halted || r.state_digest == t.baseline.digest);
-            let commit = probe.commit_cycle(t.seq);
-            Ok(TrialOutcome {
-                class: t.class,
-                seq: t.seq,
-                bit: t.bit,
+            let commit = probe.commit_cycle(seq);
+            let outcome = TrialOutcome {
+                class,
+                seq,
+                bit,
                 detected: false,
                 detection_latency: None,
-                extra_cycles: r.stats.cycles.saturating_sub(t.baseline.cycles),
-                state_clean,
+                extra_cycles: 0,
+                state_clean: false,
                 inject_cycle: if primary {
                     probe.first_writeback.or(commit)
                 } else {
@@ -252,7 +298,8 @@ impl DetectionScheme for MeekScheme {
                 },
                 diverge_cycle: if primary { commit } else { None },
                 detect_cycle: None,
-            })
+            };
+            PendingOutcome::versus_clean(outcome, r.stats.cycles, &r.output, r.state_digest)
         }
     }
 }

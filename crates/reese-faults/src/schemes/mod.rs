@@ -38,9 +38,9 @@
 /// the `RunSpec` `$spec`. Each combination is its own monomorphised
 /// call, so the common unobserved trial pays nothing.
 macro_rules! run_trial_observed {
-    ($t:expr, $sim:expr, $spec:expr, $own:expr) => {{
+    ($tracer:expr, $probe:expr, $sim:expr, $spec:expr, $own:expr) => {{
         use ::reese_trace::Pair;
-        match ($t.tracer.take(), $t.probe.take()) {
+        match ($tracer, $probe) {
             (Some(tr), Some(dp)) => $sim.run_spec($spec.observe(Pair($own, &mut Pair(tr, dp)))),
             (Some(tr), None) => $sim.run_spec($spec.observe(Pair($own, tr))),
             (None, Some(dp)) => $sim.run_spec($spec.observe(Pair($own, dp))),
@@ -50,6 +50,7 @@ macro_rules! run_trial_observed {
 }
 
 pub(crate) mod classic;
+mod fork;
 pub(crate) mod meek;
 mod observe;
 pub mod report;
@@ -62,8 +63,13 @@ use reese_core::ReeseConfig;
 use reese_isa::Program;
 use reese_trace::{DeepLog, Tracer};
 
+pub use fork::{ForkCycles, PendingOutcome, WindowBatch, WindowReplay};
 pub use report::{EvalOptions, SchemeRow, SchemesReport};
 pub use swift::transform as swift_transform;
+
+/// A fault key as a campaign draws it: class, the global dynamic
+/// instruction it targets, and the bit it flips.
+pub type FaultKey = (FaultClass, u64, u8);
 
 /// What a clean scheme run produced: the scheme-independent facts a
 /// campaign compares trials against.
@@ -152,11 +158,48 @@ pub trait DetectionScheme: Send + Sync {
         probe: &mut DeepLog,
     ) -> Result<SchemeRun, String>;
 
-    /// Scores one injected fault over its anchored window. Only called
-    /// for classes with [`FaultClass::detectable_by_design`] — the
-    /// campaign scores the modeled-undetectable classes itself,
-    /// identically for every scheme.
-    fn run_trial(&self, trial: Trial<'_>) -> Result<TrialOutcome, String>;
+    /// Runs one injected fault over its anchored window, restored from
+    /// `ck`, and scores it as far as it can be without the clean
+    /// window. `tracer` and `probe` watch the faulted run (metrics
+    /// sampling, forensics) without changing it. Only called for
+    /// classes with [`FaultClass::detectable_by_design`] — the campaign
+    /// scores the modeled-undetectable classes itself, identically for
+    /// every scheme.
+    fn run_faulted(
+        &self,
+        program: &Program,
+        ck: &Checkpoint,
+        budget: u64,
+        key: FaultKey,
+        tracer: Option<&mut Tracer>,
+        probe: Option<&mut DeepLog>,
+    ) -> Result<PendingOutcome, String>;
+
+    /// Scores one injected fault over its anchored window against the
+    /// window's clean baseline ([`DetectionScheme::run_faulted`], then
+    /// [`PendingOutcome::settle`]).
+    fn run_trial(&self, t: Trial<'_>) -> Result<TrialOutcome, String> {
+        let key = (t.class, t.seq, t.bit);
+        self.run_faulted(t.program, t.ck, t.budget, key, t.tracer, t.probe)
+            .map(|p| p.settle(t.baseline))
+    }
+
+    /// Whether a fault of `class` leaves the simulated machine
+    /// untouched, so that its trial is the clean window run itself (a
+    /// checker-side upset on a machine that checks off-core). The
+    /// replay engine scores such keys from the clean run instead of
+    /// forking them.
+    fn inert(&self, class: FaultClass) -> bool {
+        let _ = class;
+        false
+    }
+
+    /// Runs one batch of the replay engine's window phase: the window's
+    /// clean run from the anchor, with every key in `batch.forks`
+    /// forked off it at its injection point (see
+    /// [`WindowBatch`]). Each outcome must equal what
+    /// [`DetectionScheme::run_faulted`] gives for the same key.
+    fn replay_window(&self, batch: &WindowBatch<'_>) -> WindowReplay;
 }
 
 /// Builds the registered backend for a scheme over a REESE

@@ -8,10 +8,11 @@ use reese_trace::{CycleState, Observer, Stage, TraceEvent};
 /// uses it to anchor detection latency at the faulted instruction's
 /// commit.
 ///
-/// A probe built with [`CommitProbe::watching`] additionally latches
-/// the first writeback cycle of one dynamic instruction — the cycle an
-/// architecturally injected fault's corrupt value enters the machine.
-#[derive(Debug, Default)]
+/// A probe built with [`CommitProbe::watching`] (or told to
+/// [`CommitProbe::watch`]) additionally latches the first writeback
+/// cycle of one dynamic instruction — the cycle an architecturally
+/// injected fault's corrupt value enters the machine.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct CommitProbe {
     pub commits: Vec<(u64, u64, u64)>,
     watch_seq: Option<u64>,
@@ -25,10 +26,16 @@ impl CommitProbe {
 
     /// A probe that also latches the first writeback of `seq`.
     pub fn watching(seq: u64) -> CommitProbe {
-        CommitProbe {
-            watch_seq: Some(seq),
-            ..CommitProbe::default()
-        }
+        let mut probe = CommitProbe::new();
+        probe.watch(seq);
+        probe
+    }
+
+    /// Starts latching the first writeback of `seq`, which must not
+    /// have written back yet (a forked trial's probe, cloned from the
+    /// clean run's before the faulted instruction was fetched).
+    pub fn watch(&mut self, seq: u64) {
+        self.watch_seq = Some(seq);
     }
 
     /// The commit cycle of a dynamic instruction, if it committed in

@@ -40,9 +40,10 @@
 //! rejected — the transform supports the kernel suite's direct
 //! control flow, not arbitrary call graphs.
 
+use super::classic::pipeline_baseline;
+use super::fork::{anchor_start, replay_forks};
 use super::observe::CommitProbe;
-use super::{DetectionScheme, SchemeRun, Trial};
-use crate::engine::output_fnv;
+use super::{DetectionScheme, FaultKey, PendingOutcome, SchemeRun, WindowBatch, WindowReplay};
 use crate::TrialOutcome;
 use reese_ckpt::{Checkpoint, Scheme};
 use reese_core::ReeseConfig;
@@ -50,8 +51,8 @@ use reese_isa::{
     Instr, OpKind, Opcode, Program, ProgramBuilder, Reg, DATA_BASE, NUM_FP_REGS, NUM_INT_REGS,
     TEXT_BASE,
 };
-use reese_pipeline::{PipelineSim, RunSpec};
-use reese_trace::DeepLog;
+use reese_pipeline::{PipelineSim, RunSpec, SimResult};
+use reese_trace::{DeepLog, Tracer};
 
 /// Exit code of the software trap handler ("SWFT"). A detected fault
 /// halts the machine with this sentinel; the scheme reserves it.
@@ -490,50 +491,78 @@ impl DetectionScheme for SwiftScheme {
             .map_err(|e| e.to_string())
     }
 
-    fn run_trial(&self, mut t: Trial<'_>) -> Result<TrialOutcome, String> {
+    fn run_faulted(
+        &self,
+        program: &Program,
+        ck: &Checkpoint,
+        budget: u64,
+        key: FaultKey,
+        tracer: Option<&mut Tracer>,
+        probe: Option<&mut DeepLog>,
+    ) -> Result<PendingOutcome, String> {
         // Single-stream scheme: both result classes are one
         // architectural upset in the (hardened) dynamic stream — the
         // duplicated copies are ordinary instructions, so the draw
         // already lands on originals and duplicates alike.
-        let mut emu = t.ck.restore(t.program);
-        emu.inject_result_fault(t.seq, t.bit);
-        let mut probe = CommitProbe::watching(t.seq);
-        let warm = t.ck.warm.as_ref();
-        let base = RunSpec::restored(emu, warm).limit(t.budget);
-        let r = run_trial_observed!(t, self.sim, base, &mut probe).map_err(|e| e.to_string())?;
-
-        let detected = r.exit_code == Some(SWIFT_TRAP_EXIT);
-        let committed = probe.commit_cycle(t.seq);
-        // Latency: from the faulted instruction's commit to the trap
-        // handler's halt (the last commit of the window).
-        let detect_cycle = if detected {
-            probe.commits.last().map(|&(_, c, _)| c)
-        } else {
-            None
-        };
-        let detection_latency = match (detect_cycle, committed) {
-            (Some(end), Some(c)) => Some(end.saturating_sub(c)),
-            _ => None,
-        };
-        // Detection halts the run at the trap: the architectural state
-        // is *not* repaired (software-only detection has no recovery
-        // hardware), so cleanliness is scored honestly against the
-        // clean window.
-        let state_clean = output_fnv(&r.output) == t.baseline.output_fnv
-            && (!t.baseline.halted || r.state_digest == t.baseline.digest);
-        Ok(TrialOutcome {
-            class: t.class,
-            seq: t.seq,
-            bit: t.bit,
-            detected,
-            detection_latency,
-            extra_cycles: r.stats.cycles.saturating_sub(t.baseline.cycles),
-            state_clean,
-            inject_cycle: probe.first_writeback.or(committed),
-            diverge_cycle: committed,
-            detect_cycle,
-        })
+        let (_, seq, bit) = key;
+        let mut emu = ck.restore(program);
+        emu.inject_result_fault(seq, bit);
+        let mut own = CommitProbe::watching(seq);
+        let base = RunSpec::restored(emu, ck.warm.as_ref()).limit(budget);
+        let r = run_trial_observed!(tracer, probe, self.sim, base, &mut own)
+            .map_err(|e| e.to_string())?;
+        Ok(score(key, &r, &own))
     }
+
+    fn replay_window(&self, b: &WindowBatch<'_>) -> WindowReplay {
+        replay_forks(
+            b,
+            self.sim.core(anchor_start(b.program, b.ck)),
+            CommitProbe::new(),
+            |core, probe, (_, seq, bit)| {
+                core.inject_result_fault(seq, bit);
+                probe.watch(seq);
+            },
+            score,
+            pipeline_baseline,
+            |key| self.run_faulted(b.program, b.ck, b.budget, key, None, None),
+        )
+    }
+}
+
+/// Scores a hardened-program run with an architectural fault: detected
+/// iff it halted through the trap handler.
+fn score((class, seq, bit): FaultKey, r: &SimResult, probe: &CommitProbe) -> PendingOutcome {
+    let detected = r.exit_code == Some(SWIFT_TRAP_EXIT);
+    let committed = probe.commit_cycle(seq);
+    // Latency: from the faulted instruction's commit to the trap
+    // handler's halt (the last commit of the window).
+    let detect_cycle = if detected {
+        probe.commits.last().map(|&(_, c, _)| c)
+    } else {
+        None
+    };
+    let detection_latency = match (detect_cycle, committed) {
+        (Some(end), Some(c)) => Some(end.saturating_sub(c)),
+        _ => None,
+    };
+    // Detection halts the run at the trap: the architectural state is
+    // *not* repaired (software-only detection has no recovery
+    // hardware), so cleanliness is scored honestly against the clean
+    // window.
+    let outcome = TrialOutcome {
+        class,
+        seq,
+        bit,
+        detected,
+        detection_latency,
+        extra_cycles: 0,
+        state_clean: false,
+        inject_cycle: probe.first_writeback.or(committed),
+        diverge_cycle: committed,
+        detect_cycle,
+    };
+    PendingOutcome::versus_clean(outcome, r.stats.cycles, &r.output, r.state_digest)
 }
 
 #[cfg(test)]

@@ -31,6 +31,7 @@
 //!    once it has been joined, not when it finished.
 //! 10. `campaign_done` — trials, detected, coverage, total wall ms.
 
+use crate::schemes::ForkCycles;
 use reese_stats::ParallelStats;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -130,9 +131,10 @@ impl Telemetry {
     }
 
     /// Emits the end-of-fan-out `trials_done` event from the map's
-    /// [`ParallelStats`]: total items, wall time, throughput, and the
-    /// per-worker item/steal split.
-    pub fn trials_done(&self, stats: &ParallelStats) {
+    /// [`ParallelStats`] — total items, wall time, throughput, and the
+    /// per-worker item/steal split — and from `cycles`, where the
+    /// simulated cycles went.
+    pub fn trials_done(&self, stats: &ParallelStats, cycles: &ForkCycles) {
         let workers: Vec<String> = stats
             .workers
             .iter()
@@ -155,6 +157,9 @@ impl Telemetry {
                 ("jobs", stats.jobs.to_string()),
                 ("steals", stats.steals().to_string()),
                 ("workers", format!("[{}]", workers.join(", "))),
+                ("clean_window_cycles", cycles.clean.to_string()),
+                ("suffix_cycles", cycles.suffix.to_string()),
+                ("skipped_cycles", cycles.skipped.to_string()),
             ],
         );
     }

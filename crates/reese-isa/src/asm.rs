@@ -18,7 +18,7 @@
 //! Pseudo-instructions: `nop li la mv neg not seqz snez beqz bnez bltz
 //! bgez ble bgt j jr call ret halt print`.
 
-use crate::{BuildError, Opcode, Program, ProgramBuilder, Reg};
+use crate::{BuildError, Opcode, Program, ProgramBuilder, Reg, MAX_DATA_BYTES};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -301,22 +301,10 @@ fn parse_directive(
         }
         "word" => words(b, uses, args, false)?,
         "dword" => words(b, uses, args, true)?,
-        "space" => {
-            let n = parse_int(args).ok_or_else(|| err(args, format!("bad size `{args}`")))?;
-            if n < 0 {
-                return Err(err(args, "negative .space".to_string()));
-            }
-            b.space(n as usize);
-        }
-        "align" => {
-            let n = parse_int(args).ok_or_else(|| err(args, format!("bad alignment `{args}`")))?;
-            if n <= 0 || !(n as u64).is_power_of_two() {
-                return Err(err(
-                    args,
-                    format!("alignment must be a positive power of two, got {n}"),
-                ));
-            }
-            b.align(n as usize);
+        "space" | "align" => {
+            let len = b.data_len();
+            let grown = data_growth(name, args, len).map_err(|m| err(args, m))?;
+            b.space(grown - len);
         }
         "asciz" | "string" => {
             let s = args
@@ -328,6 +316,35 @@ fn parse_directive(
         other => return Err(err(name, format!("unknown directive `.{other}`"))),
     }
     Ok(())
+}
+
+/// The data-segment length after a `.space` or `.align` directive
+/// (`name`, with operand `args`) on a segment of `len` bytes, refused
+/// past [`MAX_DATA_BYTES`] before anything is allocated.
+pub(crate) fn data_growth(name: &str, args: &str, len: usize) -> Result<usize, String> {
+    let len = len as u64;
+    let grown = if name == "space" {
+        let n = parse_int(args).ok_or_else(|| format!("bad size `{args}`"))?;
+        if n < 0 {
+            return Err("negative .space".to_string());
+        }
+        len + n as u64
+    } else {
+        let n = parse_int(args).ok_or_else(|| format!("bad alignment `{args}`"))?;
+        if n <= 0 || !(n as u64).is_power_of_two() {
+            return Err(format!(
+                "alignment must be a positive power of two, got {n}"
+            ));
+        }
+        len.next_multiple_of(n as u64)
+    };
+    if grown > MAX_DATA_BYTES {
+        return Err(format!(
+            "`.{name} {args}` would grow the data segment to {grown} bytes, past the {} MiB limit",
+            MAX_DATA_BYTES >> 20
+        ));
+    }
+    Ok(grown as usize)
 }
 
 pub(crate) fn unescape(s: &str) -> String {
@@ -868,6 +885,24 @@ mod tests {
         let listing: String = p1.text().iter().map(|i| format!("  {i}\n")).collect();
         let p2 = assemble(&listing).unwrap();
         assert_eq!(p1.text(), p2.text());
+    }
+
+    #[test]
+    fn data_sizes_past_the_limit_are_line_numbered_errors() {
+        // Each is refused before anything is allocated, the segment's
+        // earlier bytes counted.
+        for (src, line) in [
+            ("  halt\n.data\nbuf: .space 99999999999\n", 3),
+            ("  halt\n.data\n  .space 4000000000\n", 3),
+            ("  halt\n.data\n  .byte 1\n  .align 0x4000000000000000\n", 4),
+            ("  halt\n.data\n  .byte 1\n  .space 0x4000000\n", 4),
+        ] {
+            let e = assemble(src).unwrap_err();
+            assert_eq!(e.line, line, "{src:?}: {e}");
+            assert!(e.message.contains("64 MiB limit"), "{e}");
+        }
+        let p = assemble("  halt\n.data\n  .byte 1\n  .align 4096\n  .space 8\n").unwrap();
+        assert_eq!(p.data().len(), 4096 + 8);
     }
 
     #[test]

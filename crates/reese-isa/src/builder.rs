@@ -275,6 +275,11 @@ impl ProgramBuilder {
         self.dword(0)
     }
 
+    /// Bytes in the data segment so far.
+    pub fn data_len(&self) -> usize {
+        self.data.len()
+    }
+
     /// Appends `n` zero bytes.
     pub fn space(&mut self, n: usize) -> &mut Self {
         self.data.resize(self.data.len() + n, 0);

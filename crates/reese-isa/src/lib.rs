@@ -43,5 +43,5 @@ pub use encode::{decode, decode_text, encode, encode_text, DecodeError, EncodeEr
 pub use instr::Instr;
 pub use isa::{Isa, IsaId, NativeIsa, Rv32iIsa};
 pub use opcode::{FuClass, MemWidth, OpKind, Opcode};
-pub use program::{Program, DATA_BASE, STACK_TOP, TEXT_BASE};
+pub use program::{Program, DATA_BASE, MAX_DATA_BYTES, STACK_TOP, TEXT_BASE};
 pub use reg::{abi, Reg, NUM_FP_REGS, NUM_INT_REGS, NUM_REGS};

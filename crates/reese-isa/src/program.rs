@@ -9,6 +9,10 @@ pub const TEXT_BASE: u64 = 0x1000;
 pub const DATA_BASE: u64 = 0x0010_0000;
 /// Default initial stack pointer (grows downward).
 pub const STACK_TOP: u64 = 0x7FFF_F000;
+/// Largest data segment the assemblers build from source, in bytes.
+/// `.space` and `.align` take their sizes from the source text, so the
+/// bound keeps a stray digit from allocating gigabytes.
+pub const MAX_DATA_BYTES: u64 = 64 << 20;
 
 /// A fully linked program: text, initialised data, entry point, and a
 /// symbol table.

@@ -14,7 +14,9 @@
 //! so the shared compare/branch logic works for both signed and
 //! unsigned 32-bit comparisons.
 
-use crate::asm::{col_in, is_ident, parse_int, parse_mem_operand, strip_comment, unescape};
+use crate::asm::{
+    col_in, data_growth, is_ident, parse_int, parse_mem_operand, strip_comment, unescape,
+};
 use crate::{
     AsmError, DecodeError, EncodeError, Instr, IsaId, Opcode, Program, Reg, DATA_BASE, TEXT_BASE,
 };
@@ -651,24 +653,9 @@ fn parse_directive<'a>(
                 }
             }
         }
-        "space" => {
-            let n = parse_int(args).ok_or_else(|| err(args, format!("bad size `{args}`")))?;
-            if n < 0 {
-                return Err(err(args, "negative .space".to_string()));
-            }
-            a.data.resize(a.data.len() + n as usize, 0);
-        }
-        "align" => {
-            let n = parse_int(args).ok_or_else(|| err(args, format!("bad alignment `{args}`")))?;
-            if n <= 0 || !(n as u64).is_power_of_two() {
-                return Err(err(
-                    args,
-                    format!("alignment must be a positive power of two, got {n}"),
-                ));
-            }
-            while !a.data.len().is_multiple_of(n as usize) {
-                a.data.push(0);
-            }
+        "space" | "align" => {
+            let grown = data_growth(name, args, a.data.len()).map_err(|m| err(args, m))?;
+            a.data.resize(grown, 0);
         }
         "asciz" | "string" => {
             let s = args
@@ -1211,6 +1198,23 @@ mod tests {
 
         let e = assemble("  li t0, 0x100000000\n").unwrap_err();
         assert!(e.message.contains("does not fit in 32 bits"));
+    }
+
+    #[test]
+    fn data_sizes_past_the_limit_are_line_numbered_errors() {
+        for (src, line) in [
+            ("  ecall\n.data\nbuf: .space 99999999999\n", 3),
+            ("  ecall\n.data\n  .space 4000000000\n", 3),
+            (
+                "  ecall\n.data\n  .byte 1\n  .align 0x4000000000000000\n",
+                4,
+            ),
+            ("  ecall\n.data\n  .byte 1\n  .space 0x4000000\n", 4),
+        ] {
+            let e = assemble(src).unwrap_err();
+            assert_eq!(e.line, line, "{src:?}: {e}");
+            assert!(e.message.contains("64 MiB limit"), "{e}");
+        }
     }
 
     #[test]

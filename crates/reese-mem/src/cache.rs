@@ -161,7 +161,10 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every way of every set, sets-major: one flat allocation, so a
+    /// cache clones (a forked replay trial copies the whole hierarchy)
+    /// as one copy.
+    lines: Vec<Line>,
     stats: CacheStats,
     tick: u64,
 }
@@ -169,10 +172,10 @@ pub struct Cache {
 impl Cache {
     /// Creates an empty (all-invalid) cache.
     pub fn new(config: CacheConfig) -> Cache {
-        let sets = vec![vec![Line::default(); config.assoc as usize]; config.num_sets() as usize];
+        let lines = vec![Line::default(); (config.assoc * config.num_sets()) as usize];
         Cache {
             config,
-            sets,
+            lines,
             stats: CacheStats::default(),
             tick: 0,
         }
@@ -206,7 +209,8 @@ impl Cache {
         let (tag, set_idx) = self.split(addr);
         let num_sets = self.config.num_sets();
         let line_bytes = self.config.line_bytes;
-        let set = &mut self.sets[set_idx];
+        let ways = self.config.assoc as usize;
+        let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
 
         if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.lru = self.tick;
@@ -251,26 +255,24 @@ impl Cache {
     /// Whether `addr` currently hits, without disturbing any state.
     pub fn probe(&self, addr: u64) -> bool {
         let (tag, set_idx) = self.split(addr);
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        let ways = self.config.assoc as usize;
+        self.lines[set_idx * ways..(set_idx + 1) * ways]
+            .iter()
+            .any(|l| l.valid && l.tag == tag)
     }
 
     /// Invalidates every line and discards dirty data (used on machine
     /// reset; the architectural memory is always authoritative).
     pub fn invalidate_all(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                *line = Line::default();
-            }
-        }
+        self.lines.fill(Line::default());
     }
 
     /// Exports the full dynamic state for checkpointing.
     pub fn export_state(&self) -> CacheSnapshot {
         CacheSnapshot {
             lines: self
-                .sets
+                .lines
                 .iter()
-                .flatten()
                 .map(|l| LineState {
                     tag: l.tag,
                     valid: l.valid,
@@ -290,14 +292,13 @@ impl Cache {
     /// Panics if the snapshot's line count does not match this cache's
     /// geometry (sets × ways).
     pub fn import_state(&mut self, snap: &CacheSnapshot) {
-        let ways = self.config.assoc as usize;
         assert_eq!(
             snap.lines.len(),
-            self.sets.len() * ways,
+            self.lines.len(),
             "cache snapshot geometry mismatch"
         );
-        for (i, line) in snap.lines.iter().enumerate() {
-            self.sets[i / ways][i % ways] = Line {
+        for (slot, line) in self.lines.iter_mut().zip(&snap.lines) {
+            *slot = Line {
                 tag: line.tag,
                 valid: line.valid,
                 dirty: line.dirty,

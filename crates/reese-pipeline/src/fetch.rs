@@ -45,7 +45,7 @@ pub struct Fetched {
 /// assert!(got.len() <= 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FetchUnit {
     emulator: Emulator,
     branch: BranchUnit,
@@ -148,6 +148,36 @@ impl FetchUnit {
         } else {
             Some(self.resume_at.max(now))
         }
+    }
+
+    /// Whether dynamic instruction `seq` may already have executed by
+    /// the end of the next fetch cycle of a machine `width` wide. The
+    /// emulator executes instructions only when fetch first delivers
+    /// them, at most `width` per cycle, and never while fetch is stalled
+    /// on a misprediction or the program is done; so while this is
+    /// false, nothing in the machine has seen `seq`, and a fault armed
+    /// on it now behaves exactly like one armed before the run began.
+    pub fn may_execute(&self, seq: Seq, width: usize) -> bool {
+        let reach = if self.blocked_on.is_some() || self.emu_done {
+            0
+        } else {
+            width as u64
+        };
+        self.emulator.instructions() + reach > seq
+    }
+
+    /// Arms an architectural result fault on dynamic instruction `seq`
+    /// (see [`Emulator::inject_result_fault`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` has already executed.
+    pub fn inject_result_fault(&mut self, seq: Seq, bit: u8) {
+        assert!(
+            self.emulator.instructions() <= seq,
+            "fault on instruction {seq} armed after it executed"
+        );
+        self.emulator.inject_result_fault(seq, bit);
     }
 
     /// The emulator error that terminated instruction supply, if any.

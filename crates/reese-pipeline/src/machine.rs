@@ -60,6 +60,17 @@ pub enum Start<'a> {
     },
 }
 
+impl<'a> Start<'a> {
+    /// Mid-program from a checkpoint-restored emulator, optionally with
+    /// warm caches and predictors.
+    pub fn restored(emulator: Emulator, warm: Option<&'a WarmState>) -> Start<'a> {
+        Start::Restored {
+            emulator: Box::new(emulator),
+            warm,
+        }
+    }
+}
+
 /// Everything one timing run needs: where it starts, when it stops, who
 /// watches, and which faults it injects.
 ///
@@ -110,8 +121,7 @@ impl<'a, F: Default> RunSpec<'a, NoopObserver, F> {
     /// warm caches and predictors. Statistics cover the resumed run
     /// only, which is how replay campaigns time a fault window.
     pub fn restored(emulator: Emulator, warm: Option<&'a WarmState>) -> Self {
-        let emulator = Box::new(emulator);
-        RunSpec::from(Start::Restored { emulator, warm })
+        RunSpec::from(Start::restored(emulator, warm))
     }
 
     fn from(start: Start<'a>) -> Self {
@@ -243,6 +253,7 @@ fn stream_of<P: Redundancy>(seq: Seq) -> Stream {
 
 /// The machine state every policy shares, with the pipeline stages
 /// they run unchanged.
+#[derive(Clone)]
 pub struct Machine<'c> {
     /// The pipeline configuration.
     pub cfg: &'c PipelineConfig,
@@ -568,6 +579,14 @@ impl<'c> Machine<'c> {
 }
 
 /// The out-of-order machine under redundancy policy `P`.
+///
+/// A core clones whenever its policy does: the clone continues from the
+/// same cycle exactly as the original would. Together with
+/// [`Core::run_until`], which pauses a run at the last cycle before it
+/// could execute a given instruction, that lets a fault-injection
+/// campaign fork faulted runs off one clean run instead of re-simulating
+/// the clean prefix per fault.
+#[derive(Clone)]
 pub struct Core<'c, P> {
     m: Machine<'c>,
     policy: P,
@@ -579,6 +598,26 @@ impl<'c, P: Redundancy> Core<'c, P> {
         Core { m, policy }
     }
 
+    /// The cycles simulated so far.
+    pub fn cycle(&self) -> u64 {
+        self.m.cycle
+    }
+
+    /// The redundancy policy, for arming faults on a paused run.
+    pub fn policy_mut(&mut self) -> &mut P {
+        &mut self.policy
+    }
+
+    /// Arms an architectural result fault on dynamic instruction `seq`
+    /// in the fetch emulator (see [`FetchUnit::inject_result_fault`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` has already executed.
+    pub fn inject_result_fault(&mut self, seq: Seq, bit: u8) {
+        self.m.fetch.inject_result_fault(seq, bit);
+    }
+
     /// Runs until `halt`, until `limit` instructions commit, or until
     /// the configured cycle limit.
     ///
@@ -588,11 +627,36 @@ impl<'c, P: Redundancy> Core<'c, P> {
     /// [`SimError::Deadlock`] on an internal invariant violation, and
     /// whatever the policy's commit stage raises.
     pub fn run<O: Observer>(mut self, limit: u64, mut obs: O) -> Result<P::Output, P::Error> {
-        let obs = &mut obs;
-        let stop = loop {
+        let stop = self
+            .run_until(limit, &mut obs, Seq::MAX)?
+            .expect("a run never pauses before Seq::MAX");
+        Ok(self.finish(stop, &mut obs))
+    }
+
+    /// Runs like [`Core::run`], but pauses at the first cycle boundary
+    /// at which the next cycle's fetch could execute dynamic instruction
+    /// `fork` (see [`FetchUnit::may_execute`]), returning `None`. Until
+    /// then no part of the machine has seen `fork`, so a fault armed on
+    /// it at the pause (in a clone, say) fires exactly as if it had been
+    /// armed before the run began. Calling again resumes the run; a
+    /// finished run returns its stop, to be passed to [`Core::finish`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Core::run`].
+    pub fn run_until<O: Observer>(
+        &mut self,
+        limit: u64,
+        obs: &mut O,
+        fork: Seq,
+    ) -> Result<Option<SimStop>, P::Error> {
+        loop {
+            if self.m.fetch.may_execute(fork, self.m.cfg.width) {
+                return Ok(None);
+            }
             // The cycle hook fires for the *previous* cycle once all its
             // stages have run, so the state it sees is complete; the
-            // final cycle's hook fires after the loop breaks.
+            // final cycle's hook fires in `finish`.
             if O::ENABLED && self.m.cycle > 0 {
                 obs.cycle(self.m.cycle, &self.cycle_state());
             }
@@ -603,10 +667,10 @@ impl<'c, P: Redundancy> Core<'c, P> {
 
             self.policy.commit(&mut self.m, limit, obs)?;
             if self.m.exit_code.is_some() {
-                break SimStop::Halted;
+                return Ok(Some(SimStop::Halted));
             }
             if self.m.stats.committed >= limit {
-                break SimStop::InstructionLimit;
+                return Ok(Some(SimStop::InstructionLimit));
             }
             self.policy.writeback(&mut self.m, obs);
             self.policy.issue(&mut self.m, obs);
@@ -615,7 +679,7 @@ impl<'c, P: Redundancy> Core<'c, P> {
 
             let m = &self.m;
             if m.cfg.max_cycles > 0 && m.cycle >= m.cfg.max_cycles {
-                break SimStop::CycleLimit;
+                return Ok(Some(SimStop::CycleLimit));
             }
             if m.fetch.exhausted()
                 && m.fetchq.is_empty()
@@ -629,16 +693,21 @@ impl<'c, P: Redundancy> Core<'c, P> {
                 }
                 // A program without halt that ran dry (cannot happen for
                 // halting programs) — treat as an instruction limit.
-                break SimStop::InstructionLimit;
+                return Ok(Some(SimStop::InstructionLimit));
             }
             if m.cycle - m.last_commit_cycle > DEADLOCK_HORIZON {
                 return Err(SimError::Deadlock { cycle: m.cycle }.into());
             }
-        };
+        }
+    }
+
+    /// Ends a run that [`Core::run_until`] reported stopped: the final
+    /// cycle's observer hook, then the policy's result.
+    pub fn finish<O: Observer>(self, stop: SimStop, obs: &mut O) -> P::Output {
         if O::ENABLED {
             obs.cycle(self.m.cycle, &self.cycle_state());
         }
-        Ok(self.policy.finish(self.m.finish(stop)))
+        self.policy.finish(self.m.finish(stop))
     }
 
     fn cycle_state(&self) -> CycleState {

@@ -1,6 +1,6 @@
 //! The baseline out-of-order superscalar simulator.
 
-use crate::{Core, Machine, PipelineConfig, Redundancy, RunSpec, SimError, SimResult};
+use crate::{Core, Machine, PipelineConfig, Redundancy, RunSpec, SimError, SimResult, Start};
 use reese_isa::Program;
 use reese_trace::Observer;
 
@@ -76,12 +76,21 @@ impl PipelineSim {
     ///
     /// See [`PipelineSim::run`].
     pub fn run_spec<O: Observer>(&self, spec: RunSpec<'_, O>) -> Result<SimResult, SimError> {
-        Core::new(Machine::new(&self.config, spec.start), NoRedundancy)
-            .run(spec.limit, spec.observer)
+        self.core(spec.start).run(spec.limit, spec.observer)
+    }
+
+    /// The baseline machine at `start`, to run step by step: pause it
+    /// with [`Core::run_until`], clone it, arm a fault in the clone.
+    pub fn core(
+        &self,
+        start: Start<'_>,
+    ) -> Core<'_, impl Redundancy<Output = SimResult, Error = SimError> + Clone> {
+        Core::new(Machine::new(&self.config, start), NoRedundancy)
     }
 }
 
 /// The baseline's policy: commit in order from the RUU head.
+#[derive(Clone)]
 struct NoRedundancy;
 
 impl Redundancy for NoRedundancy {

@@ -35,7 +35,9 @@ mod table;
 
 pub use counter::{Counter, Ratio};
 pub use histogram::Histogram;
-pub use parallel::{available_jobs, par_map_indexed, ParallelStats, WorkerStats};
+pub use parallel::{
+    available_jobs, par_map_indexed, par_map_joined, Gate, ParallelStats, WorkerStats,
+};
 pub use rng::SplitMix64;
 pub use summary::{geomean, mean, percent_delta, stddev};
 pub use table::Table;

@@ -26,6 +26,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Returns the default worker count: the host's available parallelism.
@@ -125,6 +126,70 @@ impl fmt::Display for ParallelStats {
     }
 }
 
+/// A one-way latch: closed until [`Gate::open`], then open for good.
+/// [`par_map_joined`] holds one worker back on it while one thread of
+/// the caller's budget is busy elsewhere.
+#[derive(Debug, Default)]
+pub struct Gate {
+    open: Mutex<bool>,
+    changed: Condvar,
+}
+
+impl Gate {
+    /// A closed gate.
+    pub fn new() -> Gate {
+        Gate::default()
+    }
+
+    /// Opens the gate, waking every thread waiting on it.
+    pub fn open(&self) {
+        *self
+            .open
+            .lock()
+            .expect("gate lock poisoned by a panicking thread") = true;
+        self.changed.notify_all();
+    }
+
+    /// Whether the gate has been opened.
+    pub fn is_open(&self) -> bool {
+        *self
+            .open
+            .lock()
+            .expect("gate lock poisoned by a panicking thread")
+    }
+
+    /// Wakes waiters to re-check their give-up condition.
+    fn nudge(&self) {
+        let _guard = self
+            .open
+            .lock()
+            .expect("gate lock poisoned by a panicking thread");
+        self.changed.notify_all();
+    }
+
+    /// Blocks until the gate opens (returns `true`) or `give_up` holds
+    /// (returns `false`). `give_up` is re-checked on every
+    /// [`Gate::nudge`].
+    fn wait(&self, give_up: impl Fn() -> bool) -> bool {
+        let mut open = self
+            .open
+            .lock()
+            .expect("gate lock poisoned by a panicking thread");
+        loop {
+            if *open {
+                return true;
+            }
+            if give_up() {
+                return false;
+            }
+            open = self
+                .changed
+                .wait(open)
+                .expect("gate lock poisoned by a panicking thread");
+        }
+    }
+}
+
 /// Maps `f` over `items` with up to `jobs` scoped worker threads,
 /// returning results in input order plus utilization counters.
 ///
@@ -144,8 +209,40 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    par_map_joined(jobs, None, items, |_| 1, f)
+}
+
+/// [`par_map_indexed`] under a thread budget one of whose threads may
+/// still be busy elsewhere. While `busy` is closed and every one of the
+/// `jobs` threads would be a worker, the last worker — the calling
+/// thread, which otherwise only waits — waits on it instead of claiming
+/// items, so at most `jobs` threads work at any time; once `busy` opens
+/// it joins in, and it leaves without work if the others claim every
+/// item first. Results are the same either way.
+/// Each item counts as `weight(item)` in the [`WorkerStats`] (a batch
+/// of trials counts as its trials).
+///
+/// # Panics
+///
+/// Propagates a panic from `f` after all workers stop.
+pub fn par_map_joined<T, R, F>(
+    jobs: usize,
+    busy: Option<&Gate>,
+    items: &[T],
+    weight: impl Fn(&T) -> u64 + Sync,
+    f: F,
+) -> (Vec<R>, ParallelStats)
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
     let start = Instant::now();
-    let jobs = jobs.max(1).min(items.len().max(1));
+    let budget = jobs.max(1);
+    let jobs = budget.min(items.len().max(1));
+    // The budget's busy thread leaves room for every worker only when
+    // fewer workers than threads are needed.
+    let late = busy.filter(|g| jobs == budget && !g.is_open());
     if jobs == 1 {
         let t0 = Instant::now();
         let results: Vec<R> = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
@@ -155,7 +252,7 @@ where
             wall: start.elapsed(),
             workers: vec![WorkerStats {
                 worker: 0,
-                items: items.len() as u64,
+                items: items.iter().map(&weight).sum(),
                 steals: 0,
                 busy,
             }],
@@ -173,53 +270,80 @@ where
     let bulk = items.len() - (chunk * jobs).min(items.len());
     let bulk_cursor = AtomicUsize::new(0);
     let tail_cursor = AtomicUsize::new(bulk);
+    let run_worker = |worker: usize| {
+        let mut out: Vec<(usize, R)> = Vec::new();
+        let mut busy = Duration::ZERO;
+        let (mut done, mut steals) = (0u64, 0u64);
+        let mut work = |i: usize, out: &mut Vec<(usize, R)>| {
+            let t0 = Instant::now();
+            let r = f(i, &items[i]);
+            busy += t0.elapsed();
+            out.push((i, r));
+            let w = weight(&items[i]);
+            done += w;
+            w
+        };
+        loop {
+            let lo = bulk_cursor.fetch_add(chunk, Ordering::Relaxed);
+            if lo >= bulk {
+                break;
+            }
+            for i in lo..(lo + chunk).min(bulk) {
+                work(i, &mut out);
+            }
+        }
+        loop {
+            let i = tail_cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            steals += work(i, &mut out);
+        }
+        if let Some(gate) = late {
+            gate.nudge();
+        }
+        let stats = WorkerStats {
+            worker,
+            items: done,
+            steals,
+            busy,
+        };
+        (out, stats)
+    };
+    // The held-back worker is the calling thread itself, which would
+    // otherwise only wait: a fresh thread would bring the allocator a
+    // fresh arena while the busy thread still holds its own.
+    let spawned = if late.is_some() { jobs - 1 } else { jobs };
     let per_worker: Vec<(Vec<(usize, R)>, WorkerStats)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|worker| {
-                let bulk_cursor = &bulk_cursor;
-                let tail_cursor = &tail_cursor;
-                let f = &f;
-                s.spawn(move || {
-                    let mut out: Vec<(usize, R)> = Vec::new();
-                    let mut busy = Duration::ZERO;
-                    let mut steals = 0u64;
-                    let mut work = |i: usize, out: &mut Vec<(usize, R)>| {
-                        let t0 = Instant::now();
-                        let r = f(i, &items[i]);
-                        busy += t0.elapsed();
-                        out.push((i, r));
-                    };
-                    loop {
-                        let lo = bulk_cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if lo >= bulk {
-                            break;
-                        }
-                        for i in lo..(lo + chunk).min(bulk) {
-                            work(i, &mut out);
-                        }
-                    }
-                    loop {
-                        let i = tail_cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        steals += 1;
-                        work(i, &mut out);
-                    }
-                    let stats = WorkerStats {
-                        worker,
-                        items: out.len() as u64,
-                        steals,
-                        busy,
-                    };
-                    (out, stats)
-                })
-            })
+        let run_worker = &run_worker;
+        let handles: Vec<_> = (0..spawned)
+            .map(|worker| s.spawn(move || run_worker(worker)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
+        let mut per_worker = Vec::with_capacity(jobs);
+        if let Some(gate) = late {
+            // Every index is claimed once the tail cursor passes the end
+            // (the tail is only entered once the bulk is spent).
+            let claimed = || tail_cursor.load(Ordering::Relaxed) >= items.len();
+            per_worker.push(if gate.wait(claimed) {
+                run_worker(jobs - 1)
+            } else {
+                (
+                    Vec::new(),
+                    WorkerStats {
+                        worker: jobs - 1,
+                        items: 0,
+                        steals: 0,
+                        busy: Duration::ZERO,
+                    },
+                )
+            });
+        }
+        per_worker.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked")),
+        );
+        per_worker
     });
 
     // Merge the per-worker results back into input order.
@@ -335,6 +459,77 @@ mod tests {
 
         let (_, serial) = par_map_indexed(1, &items, |_, &x| x);
         assert_eq!(serial.steals(), 0, "serial path never steals");
+    }
+
+    #[test]
+    fn a_closed_gate_holds_the_last_worker_back() {
+        let gate = Gate::new();
+        let items: Vec<u32> = (0..40).collect();
+        let (out, stats) = par_map_joined(3, Some(&gate), &items, |_| 1, |_, &x| x + 1);
+        assert_eq!(out, items.iter().map(|x| x + 1).collect::<Vec<_>>());
+        assert_eq!(stats.jobs, 3);
+        assert_eq!(stats.workers[2].items, 0, "the held worker never joined");
+        assert_eq!(stats.items(), 40);
+    }
+
+    #[test]
+    fn the_held_worker_joins_once_the_gate_opens() {
+        use std::sync::atomic::AtomicBool;
+        // Item 0 opens the gate, then waits for another thread to
+        // finish an item: with two workers, one of them held back, only
+        // the released worker can.
+        let gate = Gate::new();
+        let other_done = AtomicBool::new(false);
+        let first = Mutex::new(None);
+        let items: Vec<usize> = (0..16).collect();
+        let (out, stats) = par_map_joined(
+            2,
+            Some(&gate),
+            &items,
+            |_| 1,
+            |i, &x| {
+                let me = std::thread::current().id();
+                if i == 0 {
+                    *first.lock().unwrap() = Some(me);
+                    gate.open();
+                    let deadline = Instant::now() + Duration::from_secs(20);
+                    while !other_done.load(Ordering::SeqCst) {
+                        assert!(Instant::now() < deadline, "the held worker never joined");
+                        std::thread::yield_now();
+                    }
+                } else if first.lock().unwrap().is_some_and(|t| t != me) {
+                    other_done.store(true, Ordering::SeqCst);
+                }
+                x
+            },
+        );
+        assert_eq!(out, items);
+        assert!(stats.workers.iter().all(|w| w.items > 0), "{stats}");
+    }
+
+    #[test]
+    fn an_open_gate_or_spare_threads_hold_nobody_back() {
+        let open = Gate::new();
+        open.open();
+        let items: Vec<u32> = (0..64).collect();
+        let (_, stats) = par_map_joined(
+            2,
+            Some(&open),
+            &items,
+            |&x| u64::from(x),
+            |_, &x| {
+                std::thread::sleep(Duration::from_micros(200));
+                x
+            },
+        );
+        assert!(stats.workers.iter().all(|w| w.items > 0), "{stats}");
+        assert_eq!(stats.items(), (0..64).sum::<u64>(), "items count by weight");
+        // Two items need two workers; a budget of three leaves the
+        // third thread to the busy one, so nobody waits.
+        let closed = Gate::new();
+        let (out, stats) = par_map_joined(3, Some(&closed), &[1u8, 2], |_| 1, |_, &x| x);
+        assert_eq!(out, vec![1, 2]);
+        assert_eq!(stats.jobs, 2);
     }
 
     #[test]

@@ -146,7 +146,7 @@ const FLAGS: &[Flag] = &[
     flag(&["--early-removal"], "", RUN, "enable the §4.3 RUU-removal optimisation", |o, _, _| { o.early_removal = true; Ok(()) }),
     flag(&["--dup-period"], "K", RUN, "re-execute 1 in K instructions (default 1)", |o, f, v| { o.dup_period = positive(f, v)?; Ok(()) }),
     flag(&["--inject"], "SEQ:BIT:S", RUN, "fault at global seq SEQ, S = p|r|perm (repeatable)", |o, _, v| { o.faults.push(parse_fault(v)?); Ok(()) }),
-    flag(&["--max-insns"], "N", RUN | FAULTS, "committed-instruction budget per run or trial", |o, f, v| { o.eval.max_instructions = number(f, v)?; Ok(()) }),
+    flag(&["--max-insns"], "N", RUN | FAULTS, "committed-instruction budget per run or trial (run: default 10000000)", |o, f, v| { o.eval.max_instructions = number(f, v)?; Ok(()) }),
     flag(&["--skip"], "N", RUN, "fast-forward N instructions functionally first", |o, f, v| { o.skip = number(f, v)?; Ok(()) }),
     flag(&["--stats"], "", RUN, "print the full statistics block", |o, _, _| { o.verbose = true; Ok(()) }),
     flag(&["--trials"], "N", FAULTS, "injection trials (default 200; schemes: 100 per cell)", |o, f, v| { o.eval.trials = positive(f, v)?; Ok(()) }),
@@ -197,6 +197,12 @@ fn help(cmd: Cmd) -> String {
     }
     s
 }
+
+/// `reese run`'s default committed-instruction budget: five times the
+/// longest documented run (2M instructions), so no built-in kernel at a
+/// documented scale reaches it, while a program that never halts still
+/// ends in seconds.
+const RUN_BUDGET: u64 = 10_000_000;
 
 /// Every parsed value of every subcommand. [`Opts::new`] holds the
 /// per-command defaults; [`parse`] fills in the flags and then resolves
@@ -259,7 +265,10 @@ impl Opts {
             ..Opts::default()
         };
         match cmd {
-            RUN => o.scheme = "baseline",
+            RUN => {
+                o.scheme = "baseline";
+                o.eval.max_instructions = RUN_BUDGET;
+            }
             CAMPAIGN => {
                 o.eval.trials = 200;
                 o.eval.jobs = reese::stats::available_jobs();
@@ -724,6 +733,7 @@ fn cmd_run(o: Opts) -> Result<(), CliError> {
                 r.cycles(),
                 r.ipc()
             );
+            note_budget(&o, r.committed_instructions(), r.exit_code);
             print_output(&r.output);
             if o.verbose {
                 print!("{}", r.stats);
@@ -748,6 +758,7 @@ fn cmd_run(o: Opts) -> Result<(), CliError> {
                 r.stats.comparisons,
                 r.stats.detections
             );
+            note_budget(&o, r.committed_instructions(), r.exit_code);
             print_detections(&r.detections);
             print_output(&r.output);
             write_observability(tracer, &o)?;
@@ -768,6 +779,7 @@ fn cmd_run(o: Opts) -> Result<(), CliError> {
                 r.stats.comparisons,
                 r.stats.detections
             );
+            note_budget(&o, r.committed_instructions(), r.exit_code);
             print_detections(&r.detections);
             print_output(&r.output);
             if o.verbose {
@@ -800,6 +812,7 @@ fn cmd_run(o: Opts) -> Result<(), CliError> {
                 r.cycles,
                 r.committed as f64 / r.cycles.max(1) as f64
             );
+            note_budget(&o, r.committed, r.exit_code);
             if prepared.len() != o.program().len() {
                 println!(
                     "  transformed program: {} → {} static instructions ({:.2}x)",
@@ -942,6 +955,16 @@ fn cmd_explain(o: Opts) -> Result<(), CliError> {
         println!("forensic trace written to {path}");
     }
     Ok(())
+}
+
+/// Tells stderr when a timed run stopped at its instruction budget
+/// rather than at `halt` (the summary line alone does not say).
+fn note_budget(o: &Opts, committed: u64, exit_code: Option<u64>) {
+    if exit_code.is_none() && committed >= o.eval.max_instructions {
+        eprintln!(
+            "note: stopped at the {committed}-instruction budget before `halt`; raise it with --max-insns"
+        );
+    }
 }
 
 fn print_output(output: &[i64]) {
@@ -1087,6 +1110,19 @@ mod tests {
         assert!(parse_fault("10:3").is_err());
         assert!(parse_fault("10:3:x").is_err());
         assert!(parse_fault("a:3:p").is_err());
+    }
+
+    #[test]
+    fn run_alone_defaults_to_a_finite_budget() {
+        let kernel = strings(&["--kernel", "lisp"]);
+        assert_eq!(
+            parse(RUN, &kernel).unwrap().eval.max_instructions,
+            RUN_BUDGET
+        );
+        // Campaign headers record the budget, so theirs stays unbounded.
+        for cmd in [CAMPAIGN, SCHEMES] {
+            assert_eq!(parse(cmd, &[]).unwrap().eval.max_instructions, u64::MAX);
+        }
     }
 
     #[test]

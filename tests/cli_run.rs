@@ -98,3 +98,23 @@ fn baseline_rejects_inject_instead_of_ignoring_it() {
         "got: {err}"
     );
 }
+
+#[test]
+fn a_program_that_never_halts_stops_at_the_default_budget() {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_run_spin.s");
+    std::fs::write(&path, "loop: j loop\n").expect("write test program");
+    let (ok, stdout, _) = run(&path, &["--scheme", "emulate"]);
+    assert!(ok, "{stdout}");
+    assert!(
+        stdout.starts_with("emulated 10000000 instructions, stop: InstructionLimit"),
+        "{stdout}"
+    );
+    // A timed run says on stderr that it stopped at its budget.
+    let (ok, stdout, stderr) = run(&path, &["--max-insns", "2000"]);
+    assert!(ok, "{stderr}");
+    assert_eq!(committed(&stdout), 2000);
+    assert!(
+        stderr.contains("stopped at the 2000-instruction budget before `halt`"),
+        "{stderr}"
+    );
+}

@@ -295,9 +295,9 @@ fn large_parallel_campaign_respects_coverage_boundary() {
         );
         let t = report.throughput.as_ref().expect("throughput recorded");
         assert_eq!(t.items(), 200);
-        // Four threads: three for the fan-out while the clean run lasts.
-        // The exact split is pinned by the campaign module's
-        // `clean_run_holds_one_thread_of_the_budget_until_it_finishes`.
+        // Four threads: the trial phase's last worker joins once the
+        // clean run is done. The hand-over is pinned by the campaign
+        // module's `clean_run_holds_one_thread_of_the_budget_until_it_finishes`.
         assert!((3..=4).contains(&t.jobs), "{} workers", t.jobs);
     }
 }

@@ -78,9 +78,10 @@ fn throughput_is_observability_not_science() {
     assert_eq!(serial, parallel);
     assert_eq!(serial.throughput.as_ref().map(|t| t.jobs), Some(1));
     let t = parallel.throughput.expect("recorded");
-    // A thread budget of four: the trial fan-out gets three workers if
-    // the clean reference run was still going when it started. The
-    // exact split is pinned by the campaign module's
+    // A thread budget of four: the trial phase's last worker waits while
+    // the clean reference run holds its thread, then joins, and a phase
+    // with fewer batches than threads uses fewer. The hand-over is
+    // pinned by the campaign module's
     // `clean_run_holds_one_thread_of_the_budget_until_it_finishes`.
     assert!((3..=4).contains(&t.jobs), "{} workers", t.jobs);
     assert_eq!(t.items(), 48);
